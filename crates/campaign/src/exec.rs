@@ -543,7 +543,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub fn run_cell_resilient(spec: &CampaignSpec, cell: &Cell, base_attempt: u64) -> CellResult {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let retries = cell_params(spec, cell).retries;
-    let identity = crate::grid::fnv1a(&cell.key());
+    let identity = fx_store::fnv1a(cell.key().as_bytes());
     let started = Instant::now();
     install_quiet_panic_hook();
     let mut last_error = String::new();

@@ -10,6 +10,7 @@
 //! [`expand`] detects duplicates and reports them as spec errors.
 
 use crate::spec::{Algo, CampaignSpec, FaultSpec};
+use fx_store::fnv1a;
 use std::collections::HashMap;
 
 /// One point of the campaign grid.
@@ -48,18 +49,6 @@ impl Cell {
     }
 }
 
-/// FNV-1a over a string — stable, dependency-free identity hash.
-/// Crate-visible: chaos injection sites and the journal checksum use
-/// the same hash as cell identity.
-pub(crate) fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// splitmix64 finalizer — decorrelates related inputs.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -70,7 +59,7 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// Seed for the cell identified by `key` under `campaign_seed`.
 pub fn cell_seed(campaign_seed: u64, key: &str) -> u64 {
-    splitmix64(campaign_seed ^ fnv1a(key))
+    splitmix64(campaign_seed ^ fnv1a(key.as_bytes()))
 }
 
 /// The shard (`0..shards`) a cell key belongs to. Derived from the
@@ -80,7 +69,7 @@ pub fn shard_of(key: &str, shards: usize) -> usize {
     assert!(shards >= 1, "shard count must be ≥ 1");
     // decorrelate from cell_seed (different finalizer input) so shard
     // membership never biases the seeds within one shard
-    (splitmix64(fnv1a(key) ^ 0x5851_F42D_4C95_7F2D) % shards as u64) as usize
+    (splitmix64(fnv1a(key.as_bytes()) ^ 0x5851_F42D_4C95_7F2D) % shards as u64) as usize
 }
 
 /// Expands the spec into its full cell list, in deterministic

@@ -1,50 +1,35 @@
-//! JSONL checkpoint journal: one [`CellResult`] per line, appended and
-//! flushed as cells complete, so a killed campaign loses at most the
-//! cells that were mid-flight — `resume` skips everything already on
-//! disk.
+//! JSONL checkpoint journal: one [`CellResult`] per line, appended as
+//! cells complete, so a killed campaign loses at most the cells that
+//! were mid-flight — `resume` skips everything already on disk.
 //!
-//! Robustness rules:
-//! * every new record is wrapped with a per-record FNV-1a checksum
-//!   (`{"crc":"…","cell":{…}}`); pre-checksum journals (plain records)
-//!   still load, so old campaigns resume unchanged;
-//! * a truncated / corrupt **final** line (the typical kill artifact)
-//!   is ignored;
-//! * corrupt lines elsewhere (checksum mismatch, torn interior write,
-//!   bit rot) are **skipped and counted** instead of aborting the
-//!   load: the surviving records stay usable and the skipped cells
-//!   simply re-run on resume, like unseen cells;
+//! The journal is a keyless [`fx_store::log`] record log, which owns
+//! the line format (`{"crc":"…","cell":{…}}`), crash recovery (torn
+//! tail ignored and truncated, corrupt lines skipped and counted),
+//! append retries and the `FXNET_JOURNAL_SYNC` fsync window. A
+//! skipped cell simply re-runs on resume, like an unseen cell. This
+//! module adds what is particular to the journal:
+//! * pre-checksum journals (plain records) still load, so old
+//!   campaigns resume unchanged;
 //! * duplicate keys: a **successful** record always beats a
 //!   quarantined (`failed = 1`) one; among successes the **first**
 //!   occurrence wins (cells are pure functions of their identity, so
 //!   any duplicate is an identical re-run); among failures the record
 //!   with the most cumulative `attempts` wins, so resume keeps
 //!   advancing the retry clock;
-//! * durability: every append is flushed (checkpoint granularity is
-//!   one cell), and the file is additionally fsync'd every
-//!   `FXNET_JOURNAL_SYNC` records (default 64; `0` disables periodic
-//!   sync). The tradeoff: flush alone survives a process kill but not
-//!   a host/power loss — fsync every record would, at a large
-//!   throughput cost on small cells, so a hard host crash loses at
-//!   most one sync window of records (which then simply re-run).
+//! * merging shard journals.
 
 use crate::exec::CellResult;
-use parking_lot::Mutex;
+use fx_chaos::Site;
+use fx_store::log::{self, Line, RecordLog, DEFAULT_IO_RETRIES};
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Default number of appended records between `fsync`s.
-pub const DEFAULT_SYNC_EVERY: usize = 64;
-
-/// Default retry budget for a failing journal append (I/O errors are
-/// transient more often than not; a cell's work is too expensive to
-/// drop on the first EIO).
-pub const DEFAULT_IO_RETRIES: usize = 2;
-
 /// A campaign's journal file.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
+    log: RecordLog,
+    /// Salt for the `io_error` chaos decisions of appends.
+    salt: u64,
 }
 
 /// What [`Journal::load_report`] found on disk.
@@ -52,43 +37,18 @@ pub struct Journal {
 pub struct LoadReport {
     /// The deduplicated journaled results.
     pub results: Vec<CellResult>,
-    /// Interior lines skipped because they were corrupt (checksum
+    /// Complete lines skipped because they were corrupt (checksum
     /// mismatch or unparseable). Their cells re-run on resume.
     pub corrupt: usize,
 }
 
-/// Serializes one record in the checksummed v2 line format:
-/// `{"crc":"<16 hex FNV-1a of payload>","cell":{…}}`.
-fn checksum_line(record: &CellResult) -> String {
-    let payload = fx_json::to_string(record);
-    format!(
-        "{{\"crc\":\"{:016x}\",\"cell\":{payload}}}",
-        crate::grid::fnv1a(&payload)
-    )
-}
-
-const CRC_PREFIX: &str = "{\"crc\":\"";
-const CRC_SEP: &str = "\",\"cell\":";
-
-/// Parses one journal line: the checksummed v2 format when the `crc`
-/// wrapper is present (verifying the payload hash), else a legacy
-/// plain record.
+/// Parses one journal line: a sealed record, or a legacy plain record
+/// from before records were checksummed.
 fn parse_line(line: &str) -> Result<CellResult, String> {
-    let Some(rest) = line.strip_prefix(CRC_PREFIX) else {
-        // legacy (pre-checksum) record: trust it like PR 6 did
-        return fx_json::from_str::<CellResult>(line);
-    };
-    let hex = rest.get(..16).ok_or("truncated checksum field")?;
-    let crc = u64::from_str_radix(hex, 16).map_err(|_| "malformed checksum field".to_string())?;
-    let payload = rest
-        .get(16..)
-        .and_then(|r| r.strip_prefix(CRC_SEP))
-        .and_then(|r| r.strip_suffix('}'))
-        .ok_or("malformed checksum wrapper")?;
-    if crate::grid::fnv1a(payload) != crc {
-        return Err("checksum mismatch (torn or bit-flipped record)".to_string());
+    match log::unseal(line)? {
+        Line::Sealed { payload, .. } => fx_json::from_str(payload),
+        Line::Unsealed(plain) => fx_json::from_str(plain),
     }
-    fx_json::from_str::<CellResult>(payload)
 }
 
 /// Inserts `r` into the deduplicated result list under the journal's
@@ -115,14 +75,19 @@ fn dedup_insert(seen: &mut HashMap<String, usize>, out: &mut Vec<CellResult>, r:
 }
 
 impl Journal {
-    /// Journal at `path` (conventionally `<output>/journal.jsonl`).
+    /// Journal at `path` (conventionally `<output>/journal.jsonl`),
+    /// with the default append retry budget. The file is created by
+    /// the first append.
     pub fn new(path: PathBuf) -> Self {
-        Journal { path }
+        Journal {
+            log: RecordLog::new(path, DEFAULT_IO_RETRIES),
+            salt: 0,
+        }
     }
 
     /// The journal path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Loads all journaled results (empty when the file is absent).
@@ -133,115 +98,47 @@ impl Journal {
     /// Loads all journaled results plus the corrupt-line tally
     /// (surfaced by `report --health`).
     pub fn load_report(&self) -> Result<LoadReport, String> {
-        // Read as bytes and convert lossily: a bit flip in the high
-        // bit of a byte makes the line invalid UTF-8, and that must be
-        // "one corrupt record skipped", not a fatal load error.
-        let text = match std::fs::read(&self.path) {
-            Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(LoadReport {
-                    results: Vec::new(),
-                    corrupt: 0,
-                })
-            }
-            Err(e) => return Err(format!("cannot read {}: {e}", self.path.display())),
-        };
         let mut results: Vec<CellResult> = Vec::new();
         let mut seen: HashMap<String, usize> = HashMap::new();
-        let mut corrupt = 0usize;
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match parse_line(line) {
-                Ok(r) => dedup_insert(&mut seen, &mut results, r),
-                Err(e) if i + 1 == lines.len() => {
-                    // torn final line from a kill mid-write: drop it
-                    eprintln!(
-                        "campaign: ignoring truncated final journal line in {}: {e}",
-                        self.path.display()
-                    );
-                }
-                Err(e) => {
-                    // interior corruption: skip-and-quarantine — the
-                    // surviving records are paid-for work, and the
-                    // skipped cell re-runs on resume like an unseen
-                    // cell
-                    corrupt += 1;
-                    eprintln!(
-                        "campaign: skipping corrupt journal line {}:{}: {e}",
-                        self.path.display(),
-                        i + 1
-                    );
-                }
-            }
-        }
+        let corrupt = self
+            .log
+            .read(|line| {
+                dedup_insert(&mut seen, &mut results, parse_line(line)?);
+                Ok(())
+            })
+            .map_err(|e| format!("cannot read {}: {e}", self.path().display()))?;
         Ok(LoadReport { results, corrupt })
     }
 
-    /// Opens the journal for appending (creates parent directories)
-    /// with the default I/O retry budget and decision salt.
-    ///
-    /// A kill mid-append can leave a torn final line with no trailing
-    /// newline; appending onto it would merge two records into one
-    /// corrupt *interior* line. The torn fragment is already ignored
-    /// by [`Journal::load`], so it is truncated away here before
-    /// appending resumes.
-    pub fn appender(&self) -> Result<JournalWriter, String> {
-        self.appender_with(DEFAULT_IO_RETRIES, 0)
+    /// This journal, opened for appending now (creating parent
+    /// directories and truncating a torn tail) with an explicit append
+    /// retry budget and a decision `salt` for the `io_error` chaos
+    /// site. The engine passes the number of already-journaled records
+    /// as the salt, so a resumed run draws fresh injection decisions
+    /// instead of deterministically replaying the append failures that
+    /// lost a cell in the first place.
+    pub fn appender_with(&self, io_retries: usize, salt: u64) -> Result<Journal, String> {
+        let journal = Journal {
+            log: RecordLog::new(self.path().to_path_buf(), io_retries),
+            salt,
+        };
+        journal
+            .log
+            .open_for_append()
+            .map_err(|e| format!("cannot open {}: {e}", self.path().display()))?;
+        Ok(journal)
     }
 
-    /// [`Journal::appender`] with an explicit append retry budget and
-    /// a decision `salt` for the `io_error` chaos site. The engine
-    /// passes the number of already-journaled records as the salt, so
-    /// a resumed run draws fresh injection decisions instead of
-    /// deterministically replaying the append failures that lost a
-    /// cell in the first place.
-    pub fn appender_with(&self, io_retries: usize, salt: u64) -> Result<JournalWriter, String> {
-        if let Some(parent) = self.path.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-        }
-        match std::fs::read(&self.path) {
-            Ok(data) if !data.is_empty() && !data.ends_with(b"\n") => {
-                let keep = data
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .map(|i| i + 1)
-                    .unwrap_or(0);
-                let file = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&self.path)
-                    .map_err(|e| format!("cannot open {}: {e}", self.path.display()))?;
-                file.set_len(keep as u64)
-                    .map_err(|e| format!("cannot truncate torn journal line: {e}"))?;
-                eprintln!(
-                    "campaign: dropped torn trailing journal line in {}",
-                    self.path.display()
-                );
-            }
-            _ => {}
-        }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| format!("cannot open {}: {e}", self.path.display()))?;
-        let sync_every = std::env::var("FXNET_JOURNAL_SYNC")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_SYNC_EVERY);
-        Ok(JournalWriter {
-            inner: Mutex::new(WriterState {
-                file,
-                since_sync: 0,
-            }),
-            sync_every,
-            io_retries,
-            salt,
-        })
+    /// Appends one result. A failing write — real or injected through
+    /// the `io_error` chaos site — is retried up to the journal's I/O
+    /// budget; after exhaustion the error is returned and the caller
+    /// decides (the engine warns and moves on: the cell simply re-runs
+    /// on resume).
+    pub fn append(&self, result: &CellResult) -> Result<(), String> {
+        let identity = fx_store::fnv1a(result.key.as_bytes()) ^ self.salt;
+        self.log
+            .append(None, &fx_json::to_string(result), Site::IoError, identity)
+            .map_err(|e| format!("journal write failed: {e}"))
     }
 }
 
@@ -318,7 +215,7 @@ pub fn merge_journals_checked(
     }
     let mut text = String::new();
     for r in &merged {
-        text.push_str(&checksum_line(r));
+        text.push_str(&log::seal(None, &fx_json::to_string(r)));
         text.push('\n');
     }
     // write-then-rename: an interrupted merge must never leave the
@@ -333,70 +230,6 @@ pub fn merge_journals_checked(
         unique,
         missing,
     })
-}
-
-struct WriterState {
-    file: std::fs::File,
-    since_sync: usize,
-}
-
-/// Concurrent append handle; each append writes and flushes one
-/// checksummed line, fsyncing every `sync_every` records.
-pub struct JournalWriter {
-    inner: Mutex<WriterState>,
-    sync_every: usize,
-    io_retries: usize,
-    salt: u64,
-}
-
-impl JournalWriter {
-    /// Appends one result (line-buffered + flushed: crash-safe
-    /// checkpoint granularity is a single cell). A failing write —
-    /// real or injected through the `io_error` chaos site — is
-    /// retried up to the writer's I/O budget; after exhaustion the
-    /// error is returned and the caller decides (the engine warns and
-    /// moves on: the cell simply re-runs on resume).
-    pub fn append(&self, result: &CellResult) -> Result<(), String> {
-        let mut line = checksum_line(result);
-        line.push('\n');
-        let identity = crate::grid::fnv1a(&result.key) ^ self.salt;
-        let mut last_err = String::new();
-        for attempt in 0..=(self.io_retries as u64) {
-            // the io_error chaos site: one relaxed load when off
-            if fx_chaos::should_fire(fx_chaos::Site::IoError, identity, attempt) {
-                last_err =
-                    format!("journal write failed: chaos: injected I/O error (attempt {attempt})");
-                continue;
-            }
-            let mut state = self.inner.lock();
-            match state
-                .file
-                .write_all(line.as_bytes())
-                .and_then(|_| state.file.flush())
-            {
-                Ok(()) => {
-                    state.since_sync += 1;
-                    if self.sync_every > 0 && state.since_sync >= self.sync_every {
-                        state.since_sync = 0;
-                        // durability hardening only — the flush above
-                        // already made the record kill-safe; a failed
-                        // fsync must not discard it
-                        let _ = state.file.sync_data();
-                    }
-                    return Ok(());
-                }
-                Err(e) => last_err = format!("journal write failed: {e}"),
-            }
-        }
-        Err(last_err)
-    }
-}
-
-impl Drop for JournalWriter {
-    fn drop(&mut self) {
-        // close out the last (possibly partial) sync window
-        let _ = self.inner.lock().file.sync_data();
-    }
 }
 
 #[cfg(test)]
@@ -430,6 +263,10 @@ mod tests {
         r
     }
 
+    fn sealed(r: &CellResult) -> String {
+        log::seal(None, &fx_json::to_string(r))
+    }
+
     fn temp_journal(name: &str) -> Journal {
         let dir =
             std::env::temp_dir().join(format!("fx-campaign-journal-{name}-{}", std::process::id()));
@@ -437,14 +274,19 @@ mod tests {
         Journal::new(dir.join("journal.jsonl"))
     }
 
+    /// The loaded keys of `j` and its corrupt-line count.
+    fn keys(j: &Journal) -> (Vec<String>, usize) {
+        let report = j.load_report().unwrap();
+        let keys = report.results.into_iter().map(|r| r.key).collect();
+        (keys, report.corrupt)
+    }
+
     #[test]
     fn append_load_roundtrip_with_dedup() {
         let j = temp_journal("roundtrip");
-        let w = j.appender().unwrap();
-        w.append(&result("a", 1.0)).unwrap();
-        w.append(&result("b", 2.0)).unwrap();
-        w.append(&result("a", 99.0)).unwrap(); // duplicate: first wins
-        drop(w);
+        j.append(&result("a", 1.0)).unwrap();
+        j.append(&result("b", 2.0)).unwrap();
+        j.append(&result("a", 99.0)).unwrap(); // duplicate: first wins
         let loaded = j.load().unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0].key, "a");
@@ -461,15 +303,13 @@ mod tests {
     #[test]
     fn success_beats_failure_and_failures_keep_max_attempts() {
         let j = temp_journal("quarantine-dedup");
-        let w = j.appender().unwrap();
-        w.append(&failed_result("a", 3)).unwrap();
-        w.append(&result("a", 5.0)).unwrap(); // later success wins
-        w.append(&failed_result("b", 3)).unwrap();
-        w.append(&failed_result("b", 6)).unwrap(); // more attempts wins
-        w.append(&failed_result("b", 4)).unwrap(); // stale: ignored
-        w.append(&result("c", 1.0)).unwrap();
-        w.append(&failed_result("c", 9)).unwrap(); // failure never beats success
-        drop(w);
+        j.append(&failed_result("a", 3)).unwrap();
+        j.append(&result("a", 5.0)).unwrap(); // later success wins
+        j.append(&failed_result("b", 3)).unwrap();
+        j.append(&failed_result("b", 6)).unwrap(); // more attempts wins
+        j.append(&failed_result("b", 4)).unwrap(); // stale: ignored
+        j.append(&result("c", 1.0)).unwrap();
+        j.append(&failed_result("c", 9)).unwrap(); // failure never beats success
         let loaded = j.load().unwrap();
         assert_eq!(loaded.len(), 3);
         let by_key = |k: &str| loaded.iter().find(|r| r.key == k).unwrap();
@@ -483,40 +323,50 @@ mod tests {
     #[test]
     fn appender_truncates_torn_line_so_resume_appends_cleanly() {
         let j = temp_journal("torn-append");
-        let w = j.appender().unwrap();
-        w.append(&result("a", 1.0)).unwrap();
-        drop(w);
+        j.append(&result("a", 1.0)).unwrap();
         // kill mid-append: torn fragment with no trailing newline
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(j.path())
-            .unwrap();
-        f.write_all(b"{\"crc\":\"0123456789abcdef\",\"cell\":{\"key\":\"b\",\"gra")
-            .unwrap();
-        drop(f);
-        // resume: the appender must not merge onto the fragment
-        let w = j.appender().unwrap();
+        let mut raw = std::fs::read(j.path()).unwrap();
+        raw.extend_from_slice(b"{\"crc\":\"0123456789abcdef\",\"cell\":{\"key\":\"b\",\"gra");
+        std::fs::write(j.path(), &raw).unwrap();
+        // resume: opening the appender drops the fragment at once, so
+        // the next record cannot merge onto it
+        let w = j.appender_with(DEFAULT_IO_RETRIES, 0).unwrap();
+        assert!(std::fs::read(j.path()).unwrap().ends_with(b"\n"));
         w.append(&result("c", 3.0)).unwrap();
-        drop(w);
-        let loaded = j.load().unwrap();
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].key, "a");
-        assert_eq!(loaded[1].key, "c");
+        assert_eq!(keys(&j), (vec!["a".into(), "c".into()], 0));
+    }
+
+    #[test]
+    fn resume_survives_truncation_at_every_byte_of_the_last_record() {
+        let j = temp_journal("exhaustive-trunc");
+        j.append(&result("a", 1.0)).unwrap();
+        j.append(&result("b", 2.0)).unwrap();
+        let full = std::fs::read(j.path()).unwrap();
+        let b_start = full.iter().position(|&b| b == b'\n').unwrap() + 1;
+        // a kill mid-write can cut the file anywhere: sweep every cut
+        // from losing a's newline through losing only b's
+        for cut in (b_start - 1)..full.len() {
+            std::fs::write(j.path(), &full[..cut]).unwrap();
+            // the torn tail is neither kept nor counted...
+            let kept = vec!["a".to_string(); usize::from(cut >= b_start)];
+            assert_eq!(keys(&j), (kept.clone(), 0), "cut={cut}");
+            // ...and resuming truncates it first, so c lands on a line
+            // of its own
+            let w = j.appender_with(DEFAULT_IO_RETRIES, 0).unwrap();
+            w.append(&result("c", 3.0)).unwrap();
+            let expect = [kept, vec!["c".into()]].concat();
+            assert_eq!(keys(&j), (expect, 0), "cut={cut}");
+        }
     }
 
     #[test]
     fn merge_unions_shard_journals_first_wins() {
         let a = temp_journal("merge-a");
-        let w = a.appender().unwrap();
-        w.append(&result("x", 1.0)).unwrap();
-        w.append(&result("y", 2.0)).unwrap();
-        drop(w);
+        a.append(&result("x", 1.0)).unwrap();
+        a.append(&result("y", 2.0)).unwrap();
         let b = temp_journal("merge-b");
-        let w = b.appender().unwrap();
-        w.append(&result("y", 99.0)).unwrap(); // duplicate of a's y
-        w.append(&result("z", 3.0)).unwrap();
-        drop(w);
+        b.append(&result("y", 99.0)).unwrap(); // duplicate of a's y
+        b.append(&result("z", 3.0)).unwrap();
 
         let out = temp_journal("merge-out");
         let summary = merge_journals(
@@ -550,9 +400,7 @@ mod tests {
     #[test]
     fn merge_tolerates_missing_shards_unless_complete_required() {
         let a = temp_journal("merge-lenient-a");
-        let w = a.appender().unwrap();
-        w.append(&result("x", 1.0)).unwrap();
-        drop(w);
+        a.append(&result("x", 1.0)).unwrap();
         let ghost = temp_journal("merge-lenient-ghost"); // never written
         let out = temp_journal("merge-lenient-out");
         let inputs = [
@@ -595,7 +443,7 @@ mod tests {
         std::fs::create_dir_all(j.path().parent().unwrap()).unwrap();
         // a legacy line followed by a v2 line
         let legacy = fx_json::to_string(&result("old", 1.0));
-        let v2 = checksum_line(&result("new", 2.0));
+        let v2 = sealed(&result("new", 2.0));
         std::fs::write(j.path(), format!("{legacy}\n{v2}\n")).unwrap();
         let report = j.load_report().unwrap();
         assert_eq!(report.corrupt, 0);
@@ -605,92 +453,9 @@ mod tests {
     }
 
     #[test]
-    fn resume_survives_truncation_at_every_byte_of_the_last_record() {
-        let j = temp_journal("exhaustive-trunc");
-        let w = j.appender().unwrap();
-        w.append(&result("a", 1.0)).unwrap();
-        w.append(&result("b", 2.0)).unwrap();
-        drop(w);
-        let full = std::fs::read(j.path()).unwrap();
-        let last_start = full[..full.len() - 1]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|i| i + 1)
-            .unwrap();
-        // a kill mid-write can cut the file anywhere: sweep every
-        // prefix from losing record b's preceding newline through
-        // losing only b's trailing newline
-        for cut in (last_start - 1)..full.len() {
-            std::fs::write(j.path(), &full[..cut]).unwrap();
-            // load skips the torn tail, keeps everything before it
-            let loaded = j.load().unwrap();
-            let expect = if cut == full.len() - 1 { 2 } else { 1 };
-            assert_eq!(loaded.len(), expect, "cut={cut}");
-            // resume: the appender drops the torn tail (a complete
-            // but unterminated line is conservatively dropped too —
-            // its cell simply re-runs), and the journal stays
-            // parseable after new appends
-            let w = j.appender().unwrap();
-            w.append(&result("c", 3.0)).unwrap();
-            drop(w);
-            let keys: Vec<String> = j.load().unwrap().into_iter().map(|r| r.key).collect();
-            let expect_keys: Vec<&str> = if cut == last_start - 1 {
-                vec!["c"]
-            } else {
-                vec!["a", "c"]
-            };
-            assert_eq!(keys, expect_keys, "cut={cut}");
-        }
-    }
-
-    /// The PR 6 truncation sweep extended to interior damage: flip
-    /// every byte of the FIRST record (one at a time) in a journal of
-    /// three records. The load must never error, must keep the intact
-    /// records, and must count at most the damaged one as corrupt —
-    /// its cell re-runs like an unseen cell.
-    #[test]
-    fn interior_bit_flips_are_skipped_not_fatal() {
-        let j = temp_journal("bit-flip");
-        let w = j.appender().unwrap();
-        w.append(&result("a", 1.0)).unwrap();
-        w.append(&result("b", 2.0)).unwrap();
-        w.append(&result("c", 3.0)).unwrap();
-        drop(w);
-        let full = std::fs::read(j.path()).unwrap();
-        let first_len = full.iter().position(|&b| b == b'\n').unwrap();
-        for i in 0..first_len {
-            for bit in [0x01u8, 0x80u8] {
-                let mut damaged = full.clone();
-                damaged[i] ^= bit;
-                if damaged[i] == b'\n' {
-                    continue; // a flip that splits the line differently
-                }
-                std::fs::write(j.path(), &damaged).unwrap();
-                let report = j.load_report().unwrap();
-                let keys: Vec<&str> = report.results.iter().map(|r| r.key.as_str()).collect();
-                assert!(keys.contains(&"b"), "byte {i}: {keys:?}");
-                assert!(keys.contains(&"c"), "byte {i}: {keys:?}");
-                if keys.contains(&"a") {
-                    // the flip landed somewhere the checksum payload
-                    // doesn't cover AND the record still parsed — only
-                    // possible if the wrapper re-validated, i.e. the
-                    // record survived intact
-                    assert_eq!(report.corrupt, 0, "byte {i}");
-                    assert_eq!(report.results.len(), 3, "byte {i}");
-                } else {
-                    assert_eq!(report.corrupt, 1, "byte {i}");
-                    assert_eq!(report.results.len(), 2, "byte {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn torn_final_line_is_ignored_and_interior_corruption_is_skipped() {
         let j = temp_journal("torn");
-        let w = j.appender().unwrap();
-        w.append(&result("a", 1.0)).unwrap();
-        drop(w);
+        j.append(&result("a", 1.0)).unwrap();
         // simulate a kill mid-write
         let mut raw = std::fs::read_to_string(j.path()).unwrap();
         raw.push_str("{\"crc\":\"00ff\",\"cell\":{\"key\":\"b\",");
@@ -698,11 +463,14 @@ mod tests {
         let loaded = j.load().unwrap();
         assert_eq!(loaded.len(), 1);
 
-        // interior corruption is skipped and counted, never fatal
-        let good = checksum_line(&result("c", 3.0));
-        std::fs::write(j.path(), format!("not json\n{good}\n")).unwrap();
+        // interior corruption is skipped and counted, never fatal —
+        // including a sealed line whose damaged seal sends it down the
+        // legacy plain-record path
+        let good = sealed(&result("c", 3.0));
+        let unsealed = good.replacen("crc", "crb", 1);
+        std::fs::write(j.path(), format!("not json\n{unsealed}\n{good}\n")).unwrap();
         let report = j.load_report().unwrap();
-        assert_eq!(report.corrupt, 1);
+        assert_eq!(report.corrupt, 2);
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.results[0].key, "c");
     }
@@ -712,10 +480,8 @@ mod tests {
         // a bit flip inside a JSON number yields a *parseable* record
         // with wrong data — exactly what the checksum exists to catch
         let j = temp_journal("value-swap");
-        let w = j.appender().unwrap();
-        w.append(&result("a", 1.0)).unwrap();
-        w.append(&result("b", 2.0)).unwrap();
-        drop(w);
+        j.append(&result("a", 1.0)).unwrap();
+        j.append(&result("b", 2.0)).unwrap();
         let text = std::fs::read_to_string(j.path()).unwrap();
         let tampered = text.replacen("\"seed\":1", "\"seed\":7", 1);
         assert_ne!(text, tampered, "tamper target must exist");
@@ -726,8 +492,10 @@ mod tests {
         assert_eq!(report.results[0].key, "b");
     }
 
-    // NOTE: tests that turn chaos ON live in the root package's
-    // `tests/chaos_invariant.rs` binary — the fx-chaos config is
-    // process-global, and this unit-test binary runs tests in
-    // parallel threads that must never see injected faults.
+    // NOTE: the bit-flip sweep runs in `fx_store::log`, for keyed and
+    // keyless lines; the keyed truncation sweep runs against the
+    // store. Tests that turn chaos ON live in the root
+    // package's `tests/chaos_invariant.rs` binary — the fx-chaos
+    // config is process-global, and this unit-test binary runs tests
+    // in parallel threads that must never see injected faults.
 }

@@ -98,8 +98,9 @@
 //! residual failures into a non-zero exit.
 //!
 //! Journal records carry an FNV-1a checksum
-//! (`{"crc":"…","cell":{…}}`); corrupt or torn records are skipped and
-//! counted on resume, and their cells re-execute like unseen ones.
+//! (`{"crc":"…","cell":{…}}`, see `fx_store::log`); on resume a torn
+//! final record is dropped and corrupt records are skipped and
+//! counted, and their cells re-execute like unseen ones.
 //! `fxnet campaign report --health` surfaces the
 //! failed/retried/corrupt tallies. Fault *injection* for testing all
 //! of this is driven by the `FXNET_CHAOS` environment variable (see
@@ -131,10 +132,7 @@ pub use agg::{aggregate, GroupAggregate, Welford};
 pub use engine::{journal_for, report, run, RunOptions, RunSummary};
 pub use exec::{cell_params, run_cell, run_cell_cancelable, run_cell_resilient, CellResult};
 pub use grid::{cell_seed, expand, shard_of, Cell};
-pub use journal::{
-    merge_journals, merge_journals_checked, Journal, JournalWriter, LoadReport, MergeSummary,
-    DEFAULT_SYNC_EVERY,
-};
+pub use journal::{merge_journals, merge_journals_checked, Journal, LoadReport, MergeSummary};
 pub use serve::{serve, ServeOptions, Server};
 pub use spec::{
     Algo, CampaignSpec, ChurnCurves, FaultSpec, GridOverrides, GridSpec, Params, TargetBy,

@@ -88,9 +88,10 @@ resilience: panicking cells retry up to [params] retries times (default 2),
             then are quarantined: journaled failed=1, excluded from aggregates,
             re-attempted on the next resume. Journal records are checksummed;
             corrupt records are skipped on resume and those cells re-run.
-            FXNET_JOURNAL_SYNC=N  fsync the journal every N records (default 64;
-            0 disables periodic sync — faster, but a power loss can lose up to
-            one OS write-back window of finished cells; they simply re-run)
+            FXNET_JOURNAL_SYNC=N  fsync the journal and every cell-store shard
+            every N records (default 64; 0 disables periodic sync — faster, but
+            a power loss can lose up to one OS write-back window of finished
+            cells; they simply re-run)
 store:      [params] store = DIR  content-addressed cell-result store: campaign
             runs and `serve` publish successful cells and later overlapping runs
             are served from it (journaled cache_hit=1, bit-identical aggregates)

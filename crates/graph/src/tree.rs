@@ -181,7 +181,9 @@ pub fn mehlhorn_steiner(g: &CsrGraph, alive: &NodeSet, terminals: &[NodeId]) -> 
     // Phase 3: Kruskal MST over the terminal distance network.
     #[allow(clippy::type_complexity)] // ((term a, term b), (dist, bridge u, bridge v))
     let mut cand: Vec<((u32, u32), (u32, NodeId, NodeId))> = best.into_iter().collect();
-    cand.sort_unstable_by_key(|&(_, (w, _, _))| w);
+    // (a, b) is unique per candidate, so this order is total: equal
+    // weights never fall back to the HashMap's per-call order
+    cand.sort_unstable_by_key(|&((a, b), (w, _, _))| (w, a, b));
     let mut uf = UnionFind::new(terms.len());
     let mut bridges = Vec::new();
     for ((a, b), (_, u, v)) in cand {
@@ -456,6 +458,24 @@ mod tests {
         assert!(t.spans(&[1, 3, 5]));
         assert_eq!(t.num_edges(), 3); // must pass through the center
         assert!(t.validate(&g).is_ok());
+    }
+
+    #[test]
+    fn mehlhorn_is_the_same_tree_on_every_call() {
+        // 25 terminals on a lattice of spacing 2: many equal-weight
+        // bridges for Kruskal to order
+        let g = generators::mesh(&[12, 12]);
+        let alive = NodeSet::full(144);
+        let terms: Vec<NodeId> = (0..25)
+            .map(|i| (2 * (i / 5) + 1) * 12 + 2 * (i % 5) + 1)
+            .collect();
+        let first = mehlhorn_steiner(&g, &alive, &terms).unwrap();
+        for _ in 0..16 {
+            assert_eq!(
+                mehlhorn_steiner(&g, &alive, &terms).unwrap().edges,
+                first.edges
+            );
+        }
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! string, built by `fx-campaign`) to the cell's result record
 //! (a single-line JSON payload, opaque to this crate).
 //!
+//! The crate also owns the checksummed record [`log`] that both this
+//! store and the campaign journal are built on.
+//!
 //! ## Layout
 //!
-//! A store is a directory of sharded append-only logs
-//! (`cells-NN.jsonl`, shard = mixed key mod [`SHARDS`]) plus an
-//! in-memory index built at [`Store::open`]. Each line carries its own
-//! checksum, mirroring the campaign journal's CRC machinery:
+//! A store is a directory of [`SHARDS`] record logs (`cells-NN.jsonl`,
+//! shard = mixed key mod [`SHARDS`]) plus an in-memory index built at
+//! [`Store::open`]. Each line is a keyed log record,
 //!
 //! ```text
 //! {"crc":"<16-hex fnv1a>","key":"<16-hex>","cell":<payload>}
@@ -23,10 +25,10 @@
 //!
 //! ## Crash safety
 //!
-//! Recovery reuses the journal's skip-and-count discipline: a torn
-//! *final* line (the classic power-loss artifact) is silently dropped
-//! and truncated away before the next append; an *interior* corrupt
-//! line is skipped and counted in [`Store::corrupt`] — the cell simply
+//! Recovery is the [`log`] module's: a torn final line (the classic
+//! power-loss artifact) is ignored and truncated away before the
+//! shard's next append; an *interior* corrupt line, or a line without a
+//! key, is skipped and counted in [`Store::corrupt`] — the cell simply
 //! recomputes and republishes. A corrupt entry is **never served**.
 //!
 //! ## Chaos
@@ -39,26 +41,19 @@
 //! time is spent*, never *what is computed*.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use fx_chaos::Site;
 use fx_trace::{Counter, Target};
 
+pub mod log;
+
+pub use log::fnv1a;
+use log::{Line, RecordLog};
+
 /// Number of append-only log shards in a store directory.
 pub const SHARDS: usize = 8;
-
-/// Default number of retries for a failed append (matching the
-/// campaign journal's discipline).
-pub const DEFAULT_IO_RETRIES: u32 = 2;
-
-/// Default append batch between `sync_data` calls; overridden by
-/// `FXNET_JOURNAL_SYNC` (the store is journal-shaped, so it obeys the
-/// same knob). 0 disables periodic sync.
-pub const DEFAULT_SYNC_EVERY: u64 = 64;
 
 // Distinct salts so read- and append-side chaos decisions for the same
 // key are independent coins.
@@ -70,18 +65,6 @@ static TRACE_MISSES: Counter = Counter::new(Target::Store, "misses");
 static TRACE_PUBLISHES: Counter = Counter::new(Target::Store, "publishes");
 static TRACE_CORRUPT: Counter = Counter::new(Target::Store, "corrupt_skipped");
 static TRACE_CHAOS_MISSES: Counter = Counter::new(Target::Store, "chaos_misses");
-
-/// FNV-1a over `bytes` — the store's content-address hash. The same
-/// function (and constants) the campaign journal uses for record CRCs,
-/// re-derived here because the journal's copy is crate-private.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 // splitmix64 finalizer: spreads sequential/low-entropy keys across
 // shards.
@@ -97,36 +80,6 @@ pub fn shard_of(key: u64) -> usize {
     (mix(key) % SHARDS as u64) as usize
 }
 
-const PREFIX: &str = "{\"crc\":\"";
-const KEY_SEP: &str = "\",\"key\":\"";
-const CELL_SEP: &str = "\",\"cell\":";
-
-/// Renders one checksummed store line (without the trailing newline).
-fn entry_line(key: u64, payload: &str) -> String {
-    let crc = fnv1a(format!("{key:016x}|{payload}").as_bytes());
-    format!("{{\"crc\":\"{crc:016x}\",\"key\":\"{key:016x}\",\"cell\":{payload}}}")
-}
-
-/// Parses and verifies one store line → `(key, payload)`.
-fn parse_entry(line: &str) -> Option<(u64, String)> {
-    let rest = line.strip_prefix(PREFIX)?;
-    let crc_hex = rest.get(..16)?;
-    let crc = u64::from_str_radix(crc_hex, 16).ok()?;
-    let rest = rest.get(16..)?.strip_prefix(KEY_SEP)?;
-    let key_hex = rest.get(..16)?;
-    let key = u64::from_str_radix(key_hex, 16).ok()?;
-    let payload = rest.get(16..)?.strip_prefix(CELL_SEP)?.strip_suffix('}')?;
-    if fnv1a(format!("{key:016x}|{payload}").as_bytes()) != crc {
-        return None;
-    }
-    Some((key, payload.to_string()))
-}
-
-struct Shard {
-    file: Option<File>,
-    since_sync: u64,
-}
-
 /// A content-addressed result store: sharded checksummed append-only
 /// logs under one directory, fronted by an in-memory index.
 ///
@@ -135,71 +88,42 @@ struct Shard {
 pub struct Store {
     dir: PathBuf,
     index: Mutex<HashMap<u64, String>>,
-    shards: [Mutex<Shard>; SHARDS],
-    corrupt: AtomicU64,
-    chaos_misses: AtomicU64,
-    sync_every: u64,
-    io_retries: u32,
+    shards: [RecordLog; SHARDS],
+    corrupt: u64,
 }
 
 impl Store {
-    /// Opens (creating if needed) the store at `dir`, loading every
-    /// shard log with crash-safe recovery: torn final lines are
-    /// dropped and truncated away; interior corrupt lines are skipped
-    /// and counted in [`Store::corrupt`]. Later entries for the same
-    /// key win (a republish after a corrupt read supersedes).
+    /// Opens the store at `dir`, loading every shard log under the
+    /// [`log`] recovery rules; corrupt lines are counted in
+    /// [`Store::corrupt`]. Later entries for the same key win (a
+    /// republish after a corrupt read supersedes). Opening creates
+    /// nothing: the directory and each shard file appear with the
+    /// shard's first [`Store::put`].
     pub fn open(dir: &Path) -> std::io::Result<Store> {
-        std::fs::create_dir_all(dir)?;
+        let shards: [RecordLog; SHARDS] =
+            std::array::from_fn(|s| RecordLog::new(shard_path(dir, s), log::DEFAULT_IO_RETRIES));
         let mut index = HashMap::new();
-        let mut corrupt = 0u64;
-        for s in 0..SHARDS {
-            let path = shard_path(dir, s);
-            if !path.exists() {
-                continue;
-            }
-            // Drop a torn tail *on disk* before anything else so the
-            // next append starts on a clean line boundary even if this
-            // process dies before writing.
-            truncate_torn_tail(&path)?;
-            let mut bytes = Vec::new();
-            File::open(&path)?.read_to_end(&mut bytes)?;
-            // Lossy: a corrupt record must not make the whole shard
-            // unreadable.
-            let text = String::from_utf8_lossy(&bytes);
-            let lines: Vec<&str> = text.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.is_empty() {
-                    continue;
+        let mut corrupt = 0;
+        for shard in &shards {
+            corrupt += shard.read(|line| match log::unseal(line)? {
+                Line::Sealed {
+                    key: Some(key),
+                    payload,
+                } => {
+                    index.insert(key, payload.to_string());
+                    Ok(())
                 }
-                match parse_entry(line) {
-                    Some((key, payload)) => {
-                        index.insert(key, payload);
-                    }
-                    None => {
-                        // After truncation the final line is
-                        // newline-terminated, so anything unparseable
-                        // here — last or interior — is real
-                        // corruption, not a torn write.
-                        let _ = i;
-                        corrupt += 1;
-                        TRACE_CORRUPT.incr();
-                    }
-                }
-            }
+                _ => Err("not a keyed store record".to_string()),
+            })? as u64;
+        }
+        if corrupt > 0 {
+            TRACE_CORRUPT.add(corrupt);
         }
         Ok(Store {
             dir: dir.to_path_buf(),
             index: Mutex::new(index),
-            shards: std::array::from_fn(|_| {
-                Mutex::new(Shard {
-                    file: None,
-                    since_sync: 0,
-                })
-            }),
-            corrupt: AtomicU64::new(corrupt),
-            chaos_misses: AtomicU64::new(0),
-            sync_every: sync_every_from_env(),
-            io_retries: DEFAULT_IO_RETRIES,
+            shards,
+            corrupt,
         })
     }
 
@@ -213,7 +137,6 @@ impl Store {
     /// what is served, only whether the cache helped.
     pub fn get(&self, key: u64) -> Option<String> {
         if fx_chaos::should_fire(Site::StoreIo, key ^ CHAOS_GET_SALT, 0) {
-            self.chaos_misses.fetch_add(1, Ordering::Relaxed);
             TRACE_CHAOS_MISSES.incr();
             TRACE_MISSES.incr();
             return None;
@@ -231,51 +154,20 @@ impl Store {
     /// single-line JSON value (no raw newline) — store lines are the
     /// recovery unit.
     ///
-    /// Appends retry up to [`DEFAULT_IO_RETRIES`] times around real or
-    /// chaos-injected (`store_io`) I/O errors; a final failure leaves
-    /// the result unmemoized but is otherwise harmless, so callers may
-    /// treat the error as non-fatal.
+    /// Appends retry up to [`log::DEFAULT_IO_RETRIES`] times around
+    /// real or chaos-injected (`store_io`) I/O errors; a final failure
+    /// leaves the result unmemoized but is otherwise harmless, so
+    /// callers may treat the error as non-fatal.
     pub fn put(&self, key: u64, payload: &str) -> std::io::Result<()> {
         debug_assert!(!payload.contains('\n'), "store payloads are single-line");
-        let line = entry_line(key, payload);
-        let shard = shard_of(key);
-        let mut guard = self.shards[shard].lock().unwrap();
-        let mut last_err: Option<std::io::Error> = None;
-        for attempt in 0..=(self.io_retries as u64) {
-            if fx_chaos::should_fire(Site::StoreIo, key ^ CHAOS_PUT_SALT, attempt) {
-                last_err = Some(std::io::Error::other("chaos: injected store_io error"));
-                continue;
-            }
-            match self.append_line(&mut guard, shard, &line) {
-                Ok(()) => {
-                    drop(guard);
-                    self.index.lock().unwrap().insert(key, payload.to_string());
-                    TRACE_PUBLISHES.incr();
-                    return Ok(());
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| std::io::Error::other("store append failed")))
-    }
-
-    fn append_line(&self, shard: &mut Shard, idx: usize, line: &str) -> std::io::Result<()> {
-        if shard.file.is_none() {
-            shard.file = Some(
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(shard_path(&self.dir, idx))?,
-            );
-        }
-        let file = shard.file.as_mut().unwrap();
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
-        shard.since_sync += 1;
-        if self.sync_every != 0 && shard.since_sync >= self.sync_every {
-            file.sync_data()?;
-            shard.since_sync = 0;
-        }
+        self.shards[shard_of(key)].append(
+            Some(key),
+            payload,
+            Site::StoreIo,
+            key ^ CHAOS_PUT_SALT,
+        )?;
+        self.index.lock().unwrap().insert(key, payload.to_string());
+        TRACE_PUBLISHES.incr();
         Ok(())
     }
 
@@ -291,55 +183,12 @@ impl Store {
 
     /// Corrupt lines skipped (and counted) during [`Store::open`].
     pub fn corrupt(&self) -> u64 {
-        self.corrupt.load(Ordering::Relaxed)
-    }
-
-    /// Lookups degraded to misses by `store_io` chaos.
-    pub fn chaos_misses(&self) -> u64 {
-        self.chaos_misses.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for Store {
-    fn drop(&mut self) {
-        // Best-effort final sync, mirroring the journal writer.
-        for shard in &self.shards {
-            if let Ok(mut guard) = shard.lock() {
-                if let Some(file) = guard.file.as_mut() {
-                    let _ = file.sync_data();
-                }
-            }
-        }
+        self.corrupt
     }
 }
 
 fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("cells-{shard:02}.jsonl"))
-}
-
-fn sync_every_from_env() -> u64 {
-    std::env::var("FXNET_JOURNAL_SYNC")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SYNC_EVERY)
-}
-
-/// Truncates a possibly-torn final line: everything after the last
-/// newline is dropped (a file that is all one torn line truncates to
-/// empty). The recovery twin of the journal appender's tail rule.
-fn truncate_torn_tail(path: &Path) -> std::io::Result<()> {
-    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let keep = match bytes.iter().rposition(|&b| b == b'\n') {
-        Some(pos) => pos + 1,
-        None => 0,
-    };
-    if keep != bytes.len() {
-        file.set_len(keep as u64)?;
-        file.seek(SeekFrom::End(0))?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -406,41 +255,34 @@ mod tests {
     #[test]
     fn truncation_at_every_byte_of_the_last_record_recovers() {
         let dir = temp_dir("truncate");
+        // three keys of one shard: a and b written, c put after each cut
+        let mut same = (0..).filter(|&k| shard_of(k) == shard_of(0));
+        let [a, b, c]: [u64; 3] = std::array::from_fn(|_| same.next().unwrap());
+        let v = |k: u64| format!("{{\"v\":{k}}}");
         {
             let store = Store::open(&dir).unwrap();
-            store.put(1, "{\"v\":1}").unwrap();
-            store.put(2, "{\"v\":2}").unwrap();
+            store.put(a, &v(a)).unwrap();
+            store.put(b, &v(b)).unwrap();
         }
-        // Both keys share a shard only by luck; pick a shard that
-        // exists and chop its tail back byte by byte.
-        let shard = (0..SHARDS)
-            .map(|s| shard_path(&dir, s))
-            .find(|p| p.exists())
-            .unwrap();
+        let shard = shard_path(&dir, shard_of(a));
         let full = std::fs::read(&shard).unwrap();
-        let last_line_start = full[..full.len() - 1]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        for cut in last_line_start..full.len() {
+        let b_start = full.iter().position(|&x| x == b'\n').unwrap() + 1;
+        // a kill mid-write can cut the shard anywhere: sweep every cut
+        // from losing a's newline through losing only b's
+        for cut in (b_start - 1)..full.len() {
             std::fs::write(&shard, &full[..cut]).unwrap();
+            // the torn record is neither served nor counted...
+            let kept = (cut >= b_start).then(|| v(a));
             let store = Store::open(&dir).unwrap();
-            // The torn record is dropped, never mangled into a wrong
-            // value; intact records survive.
-            assert_eq!(
-                store.corrupt(),
-                0,
-                "cut at {cut}: torn tail is not corruption"
-            );
-            for (k, v) in store.index.lock().unwrap().iter() {
-                assert_eq!(*v, format!("{{\"v\":{k}}}"));
-            }
+            assert_eq!(store.get(a), kept.clone(), "cut={cut}");
+            assert_eq!((store.get(b), store.corrupt()), (None, 0), "cut={cut}");
+            // ...and the next put truncates it first, so c lands on a
+            // line of its own
+            store.put(c, &v(c)).unwrap();
             drop(store);
-            // The truncation is durable: the shard now ends on a
-            // newline (or is empty).
-            let after = std::fs::read(&shard).unwrap();
-            assert!(after.is_empty() || after.ends_with(b"\n"));
+            let store = Store::open(&dir).unwrap();
+            assert_eq!((store.get(a), store.corrupt()), (kept, 0), "cut={cut}");
+            assert_eq!(store.get(c), Some(v(c)), "cut={cut}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -452,18 +294,17 @@ mod tests {
             let store = Store::open(&dir).unwrap();
             store.put(1, "{\"v\":1}").unwrap();
         }
-        let shard = (0..SHARDS)
-            .map(|s| shard_path(&dir, s))
-            .find(|p| p.exists())
-            .unwrap();
+        let shard = shard_path(&dir, shard_of(1));
         let mut bytes = std::fs::read(&shard).unwrap();
         // Flip a bit inside the payload (past the fixed prefix) so the
         // line still parses structurally but fails its CRC.
         let target = bytes.len() - 3;
         bytes[target] ^= 0x01;
+        // and a line that verifies but carries no key
+        bytes.extend_from_slice(format!("{}\n", log::seal(None, "{\"v\":1}")).as_bytes());
         std::fs::write(&shard, &bytes).unwrap();
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.corrupt(), 1, "flip is counted");
+        assert_eq!(store.corrupt(), 2, "flip and keyless line are counted");
         assert_eq!(store.get(1), None, "corrupt entry is never served");
         // Republish repairs the store.
         store.put(1, "{\"v\":1}").unwrap();
@@ -475,22 +316,18 @@ mod tests {
 
     #[test]
     fn checksum_catches_a_value_swap_that_still_parses() {
-        // Swap the payloads of two structurally valid lines: both
-        // still parse as JSON, but each CRC covers `key|payload`, so
-        // the mismatch is caught.
-        let a = entry_line(1, "{\"v\":1}");
-        let b_payload_swapped = {
-            let (_, payload) = parse_entry(&a).unwrap();
-            entry_line(2, &payload) // honest re-encode: parses fine
-        };
-        assert!(parse_entry(&b_payload_swapped).is_some());
-        // Now forge: key 2's line with key 1's CRC.
-        let forged = a.replace(
+        // Each CRC covers `key|payload`, so re-keying a line or
+        // swapping its payload without re-sealing is caught.
+        let line = log::seal(Some(1), "{\"v\":1}");
+        let rekeyed = line.replace(
             "\"key\":\"0000000000000001\"",
             "\"key\":\"0000000000000002\"",
         );
-        assert_ne!(forged, a);
-        assert!(parse_entry(&forged).is_none(), "CRC covers the key too");
+        let swapped = line.replace("{\"v\":1}", "{\"v\":2}");
+        for forged in [rekeyed, swapped] {
+            assert_ne!(forged, line);
+            assert!(log::unseal(&forged).is_err(), "{forged}");
+        }
     }
 
     #[test]
