@@ -796,8 +796,8 @@ algorithms = ["expansion-cert"]
         }
     }
 
-    /// A campaign with a pathological cell (exact span on mesh:4,5,
-    /// which would enumerate for minutes) and a quick cell: with
+    /// A campaign with a pathological cell (exact span on torus:4,5,
+    /// which enumerates for about a second) and a quick cell: with
     /// `timeout_ms` the pathological cell is journaled as timed out
     /// and the campaign still completes.
     #[test]
@@ -810,7 +810,7 @@ name = "timeout-engine"
 graphs = ["cycle:10"]
 algorithms = ["span"]
 [grid-pathological]
-graphs = ["mesh:4,5"]
+graphs = ["torus:4,5"]
 algorithms = ["span"]
 [params]
 timeout_ms = 50
@@ -831,8 +831,8 @@ timeout_ms = 50
         assert_eq!(summary.executed, 2);
         let journal = journal_for(&spec, &RunOptions::default());
         let results = journal.load().unwrap();
-        let mesh = results.iter().find(|r| r.graph == "mesh:4,5").unwrap();
-        assert_eq!(mesh.metric("timed_out"), Some(1.0));
+        let torus = results.iter().find(|r| r.graph == "torus:4,5").unwrap();
+        assert_eq!(torus.metric("timed_out"), Some(1.0));
         let cycle = results.iter().find(|r| r.graph == "cycle:10").unwrap();
         assert_eq!(cycle.metric("timed_out"), None, "fast cell unaffected");
         assert_eq!(cycle.metric("exhaustive"), Some(1.0));

@@ -1336,13 +1336,15 @@ samples = 20
     }
 
     /// The ROADMAP's named pathological cell: exact span on a graph
-    /// whose compact-set enumeration would run for minutes. The
-    /// deadline token must cancel it cooperatively (poll granularity:
-    /// one compact set), journal-ready, with the timeout marker.
+    /// whose compact-set enumeration takes far longer than the budget
+    /// (`torus:4,5`: 201,352 compact sets, about a second in release).
+    /// The deadline token must cancel it cooperatively (poll
+    /// granularity: one compact set), journal-ready, with the timeout
+    /// marker.
     #[test]
     fn pathological_exact_span_cell_times_out_cooperatively() {
         let spec = CampaignSpec::parse(
-            "name = \"timeout\"\ngraphs = [\"mesh:4,5\"]\nalgorithms = [\"span\"]\n\
+            "name = \"timeout\"\ngraphs = [\"torus:4,5\"]\nalgorithms = [\"span\"]\n\
              [params]\ntimeout_ms = 10",
         )
         .unwrap();
@@ -1359,7 +1361,7 @@ samples = 20
         );
         // an explicit token works the same way without a spec timeout
         let free_spec = CampaignSpec::parse(
-            "name = \"timeout2\"\ngraphs = [\"mesh:4,5\"]\nalgorithms = [\"span\"]",
+            "name = \"timeout2\"\ngraphs = [\"torus:4,5\"]\nalgorithms = [\"span\"]",
         )
         .unwrap();
         let token = CancelToken::with_deadline(Duration::from_millis(10));
@@ -1538,7 +1540,7 @@ graphs = ["torus:6,6"]
 algorithms = ["compact-audit"]
 samples = 5
 [grid-pathological]
-graphs = ["mesh:4,5"]
+graphs = ["torus:4,5"]
 algorithms = ["span"]
 timeout_ms = 10
 [params]
@@ -1557,9 +1559,9 @@ samples = 25
                     assert!(r.metric("samples").unwrap() <= 5.0, "per-grid override");
                     assert_eq!(r.metric("timed_out"), None);
                 }
-                "mesh:4,5" => {
+                "torus:4,5" => {
                     // only this grid has a budget; the exact-span cell
-                    // would otherwise enumerate for minutes
+                    // would otherwise enumerate for about a second
                     assert_eq!(r.metric("timed_out"), Some(1.0), "{:?}", r.metrics);
                 }
                 other => unreachable!("{other}"),

@@ -80,7 +80,10 @@ pub fn shard_of(key: &str, shards: usize) -> usize {
 /// would alias in the journal and silently drop work.
 pub fn expand(spec: &CampaignSpec) -> Result<Vec<Cell>, String> {
     let mut cells = Vec::new();
-    let mut seen: HashMap<String, String> = HashMap::new(); // canonical key → grid label
+    // canonical `graph|fault|algo` → declaring grid label. The
+    // replicates of a group collide together or not at all, so one
+    // check per group covers every cell.
+    let mut seen: HashMap<String, &str> = HashMap::new();
     for (grid_index, grid) in spec.grids.iter().enumerate() {
         for graph in &grid.graphs {
             // duplicates are detected on the *canonical* scenario
@@ -92,26 +95,29 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<Cell>, String> {
                 .unwrap_or_else(|_| graph.clone());
             for fault in &grid.faults {
                 for algo in &grid.algorithms {
-                    for replicate in 0..spec.replicates {
-                        let mut cell = Cell {
-                            graph: graph.clone(),
-                            fault: fault.clone(),
-                            algo: *algo,
-                            replicate,
-                            seed: 0,
-                            grid: grid_index,
-                        };
-                        let key = cell.key();
-                        let canonical_key = format!("{canonical}|{fault}|{algo}|r{replicate}");
-                        if let Some(prior) = seen.insert(canonical_key, grid.label.clone()) {
+                    let tail = format!("{fault}|{algo}");
+                    let group = format!("{graph}|{tail}");
+                    if spec.replicates > 0 {
+                        if let Some(prior) = seen.insert(format!("{canonical}|{tail}"), &grid.label)
+                        {
                             return Err(format!(
-                                "duplicate grid cell `{key}` (declared by [{prior}] and \
+                                "duplicate grid cell `{group}|r0` (declared by [{prior}] and \
                                  [{}]); remove the doubled axis entry",
                                 grid.label
                             ));
                         }
-                        cell.seed = cell_seed(spec.seed, &key);
-                        cells.push(cell);
+                    }
+                    for replicate in 0..spec.replicates {
+                        // the string `Cell::key` gives, formatted once
+                        let key = format!("{group}|r{replicate}");
+                        cells.push(Cell {
+                            graph: graph.clone(),
+                            fault: fault.clone(),
+                            algo: *algo,
+                            replicate,
+                            seed: cell_seed(spec.seed, &key),
+                            grid: grid_index,
+                        });
                     }
                 }
             }

@@ -132,14 +132,18 @@ impl TomlDoc {
                 return Err(err(format!("invalid key {key:?}")));
             }
             // multi-line arrays: keep consuming lines until brackets
-            // balance outside of strings
+            // balance outside of strings, scanning each line once
             let mut value_text = value_text.trim().to_string();
-            while !brackets_balanced(&value_text) {
+            let mut brackets = Brackets::default();
+            brackets.scan(&value_text);
+            while !brackets.balanced() {
                 let Some((_, next)) = lines.next() else {
                     return Err(err("unterminated array".into()));
                 };
+                let appended = value_text.len();
                 value_text.push(' ');
                 value_text.push_str(strip_comment(next).trim());
+                brackets.scan(&value_text[appended..]);
             }
             let value = parse_value(value_text.trim())
                 .map_err(|m| err(format!("value for `{key}`: {m}")))?;
@@ -178,25 +182,36 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// True when `[`/`]` balance, ignoring brackets inside strings.
-fn brackets_balanced(text: &str) -> bool {
-    let mut depth = 0i32;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in text.chars() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_string => escaped = true,
-            '"' => in_string = !in_string,
-            '[' if !in_string => depth += 1,
-            ']' if !in_string => depth -= 1,
-            _ => {}
+/// `[`/`]` nesting of a value read piece by piece, ignoring brackets
+/// inside strings; the state carries over from one piece to the next.
+#[derive(Default)]
+struct Brackets {
+    depth: i32,
+    in_string: bool,
+    escaped: bool,
+}
+
+impl Brackets {
+    fn scan(&mut self, text: &str) {
+        for c in text.chars() {
+            if self.escaped {
+                self.escaped = false;
+                continue;
+            }
+            match c {
+                '\\' if self.in_string => self.escaped = true,
+                '"' => self.in_string = !self.in_string,
+                '[' if !self.in_string => self.depth += 1,
+                ']' if !self.in_string => self.depth -= 1,
+                _ => {}
+            }
         }
     }
-    depth <= 0 && !in_string
+
+    /// True when every `[` so far is closed, outside any string.
+    fn balanced(&self) -> bool {
+        self.depth <= 0 && !self.in_string
+    }
 }
 
 fn parse_value(text: &str) -> Result<TomlValue, String> {
@@ -363,6 +378,27 @@ trials = 12
             TomlDoc::parse("k = [1, 2").is_err(),
             "unterminated multiline array"
         );
+    }
+
+    #[test]
+    fn long_multiline_array_matches_its_one_line_form() {
+        // brackets, hashes and escaped quotes inside the strings must
+        // neither close the array nor start a comment
+        let items: Vec<String> = (0..300).map(|i| format!("\"g[{i}]#x\\\"]\"")).collect();
+        let one_line = format!("k = [{}]\nafter = 1", items.join(", "));
+        let multi_line = format!(
+            "k = [\n{}]  # done\nafter = 1",
+            items
+                .iter()
+                .map(|item| format!("    {item},  # [item] #\n"))
+                .collect::<String>()
+        );
+        let doc = TomlDoc::parse(&multi_line).unwrap();
+        assert_eq!(doc, TomlDoc::parse(&one_line).unwrap());
+        let array = doc.get("k").unwrap().as_array().unwrap();
+        assert_eq!(array.len(), 300);
+        assert_eq!(array[7].as_str(), Some("g[7]#x\"]"));
+        assert_eq!(doc.get("after").unwrap().as_usize(), Some(1));
     }
 
     #[test]

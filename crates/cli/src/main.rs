@@ -108,7 +108,7 @@ curves:     [params] churn_curves = dyncon|oracle|off  survival-curve engine for
             bits, O(ops·(V+E)); off skips curves — speed knob, never science)
 tracing:    FXNET_TRACE=target[=level],...  structured telemetry (targets: par,
             campaign, cell, overlay, percolation, faults, chaos, dyncon, serve,
-            store; `all`;
+            store, span; `all`;
             level 2 adds hot-path histograms). Traced campaign runs write
             trace.jsonl + trace.chrome.json next to the journal.
 

@@ -9,7 +9,7 @@
 //!   distance network, expansion to real paths, leaf pruning. Gives an
 //!   *upper-bound witness tree*.
 //! * [`dreyfus_wagner_cost`] — exact DP over terminal subsets, usable
-//!   for ≤ ~12 terminals. Gives the *exact optimum* (edge count) so
+//!   for ≤ 14 terminals. Gives the *exact optimum* (edge count) so
 //!   small-case spans are exact and the approximation is testable.
 
 use crate::bitset::NodeSet;
@@ -115,7 +115,9 @@ pub fn bfs_spanning_tree(g: &CsrGraph, alive: &NodeSet, root: NodeId) -> Tree {
 ///
 /// Guarantee: `result.num_edges() <= 2 * OPT_edges` (classic Mehlhorn
 /// bound, tested against [`dreyfus_wagner_cost`] in the property
-/// suite).
+/// suite). Every buffer is a flat `Vec` indexed by node or terminal,
+/// and ties are broken by terminal and node ids, so one input always
+/// gives one tree.
 pub fn mehlhorn_steiner(g: &CsrGraph, alive: &NodeSet, terminals: &[NodeId]) -> Option<Tree> {
     let mut terms: Vec<NodeId> = terminals.to_vec();
     terms.sort_unstable();
@@ -136,57 +138,47 @@ pub fn mehlhorn_steiner(g: &CsrGraph, alive: &NodeSet, terminals: &[NodeId]) -> 
         });
     }
 
-    // Phase 1: Voronoi regions around terminals.
+    // Phase 1: Voronoi regions around terminals, labelled by dense
+    // terminal index (`NO_REGION` for nodes no terminal reaches).
+    const NO_REGION: u32 = u32::MAX;
     let vor = multi_source_bfs(g, alive, &terms);
-    if terms.iter().any(|&t| vor.dist[t as usize] == UNREACHABLE) {
-        return None;
+    let mut region = vec![NO_REGION; g.num_nodes()];
+    for (i, &t) in terms.iter().enumerate() {
+        region[t as usize] = i as u32;
+    }
+    // a terminal is its own nearest source, so its slot keeps its index
+    for v in 0..g.num_nodes() {
+        if vor.dist[v] != UNREACHABLE {
+            region[v] = region[vor.nearest[v] as usize];
+        }
     }
 
-    // terminal id -> dense index
-    let tindex = |t: NodeId| terms.binary_search(&t).expect("terminal");
-
     // Phase 2: candidate inter-terminal edges from boundary graph
-    // edges. weight = dist(u) + 1 + dist(v); keep the lightest bridge
-    // per terminal pair.
-    use std::collections::HashMap;
-    let mut best: HashMap<(u32, u32), (u32, NodeId, NodeId)> = HashMap::new();
+    // edges, weight = dist(u) + 1 + dist(v). Sorted on
+    // (w, a, b, u, v), the first candidate of a terminal pair is its
+    // lightest bridge (the smallest edge among equals), and Kruskal
+    // passes over the pair's later candidates: it is joined by then.
+    let mut cand: Vec<(u32, u32, u32, NodeId, NodeId)> = Vec::new();
     for u in alive.iter() {
-        if vor.dist[u as usize] == UNREACHABLE {
+        let ru = region[u as usize];
+        if ru == NO_REGION {
             continue;
         }
         for &v in g.neighbors(u) {
-            if u >= v || !alive.contains(v) || vor.dist[v as usize] == UNREACHABLE {
+            let rv = region[v as usize];
+            if u >= v || rv == NO_REGION || rv == ru {
                 continue;
             }
-            let (su, sv) = (vor.nearest[u as usize], vor.nearest[v as usize]);
-            if su == sv {
-                continue;
-            }
-            let (a, b) = {
-                let (ia, ib) = (tindex(su) as u32, tindex(sv) as u32);
-                if ia < ib {
-                    (ia, ib)
-                } else {
-                    (ib, ia)
-                }
-            };
             let w = vor.dist[u as usize] + 1 + vor.dist[v as usize];
-            let entry = best.entry((a, b)).or_insert((w, u, v));
-            if w < entry.0 {
-                *entry = (w, u, v);
-            }
+            cand.push((w, ru.min(rv), ru.max(rv), u, v));
         }
     }
 
     // Phase 3: Kruskal MST over the terminal distance network.
-    #[allow(clippy::type_complexity)] // ((term a, term b), (dist, bridge u, bridge v))
-    let mut cand: Vec<((u32, u32), (u32, NodeId, NodeId))> = best.into_iter().collect();
-    // (a, b) is unique per candidate, so this order is total: equal
-    // weights never fall back to the HashMap's per-call order
-    cand.sort_unstable_by_key(|&((a, b), (w, _, _))| (w, a, b));
+    cand.sort_unstable();
     let mut uf = UnionFind::new(terms.len());
-    let mut bridges = Vec::new();
-    for ((a, b), (_, u, v)) in cand {
+    let mut bridges = Vec::with_capacity(terms.len() - 1);
+    for &(_, a, b, u, v) in &cand {
         if uf.union(a, b) {
             bridges.push((u, v));
         }
@@ -197,10 +189,8 @@ pub fn mehlhorn_steiner(g: &CsrGraph, alive: &NodeSet, terminals: &[NodeId]) -> 
 
     // Phase 4: expand each MST edge into a real path
     // u -> nearest[u], bridge edge, v -> nearest[v].
-    let mut node_set = NodeSet::empty(g.num_nodes());
     let mut edge_set: Vec<Edge> = Vec::new();
-    let walk_to_source = |mut x: NodeId, nodes: &mut NodeSet, edges: &mut Vec<Edge>| {
-        nodes.insert(x);
+    let walk_to_source = |mut x: NodeId, edges: &mut Vec<Edge>| {
         while vor.dist[x as usize] > 0 {
             let target_d = vor.dist[x as usize] - 1;
             let lab = vor.nearest[x as usize];
@@ -215,17 +205,13 @@ pub fn mehlhorn_steiner(g: &CsrGraph, alive: &NodeSet, terminals: &[NodeId]) -> 
                 })
                 .expect("BFS parent with same Voronoi label must exist");
             edges.push(Edge::new(x, next));
-            nodes.insert(next);
             x = next;
         }
     };
     for (u, v) in bridges {
-        walk_to_source(u, &mut node_set, &mut edge_set);
-        walk_to_source(v, &mut node_set, &mut edge_set);
+        walk_to_source(u, &mut edge_set);
+        walk_to_source(v, &mut edge_set);
         edge_set.push(Edge::new(u, v));
-    }
-    for &t in &terms {
-        node_set.insert(t);
     }
     edge_set.sort_unstable();
     edge_set.dedup();
@@ -233,77 +219,87 @@ pub fn mehlhorn_steiner(g: &CsrGraph, alive: &NodeSet, terminals: &[NodeId]) -> 
     // Phase 5: the union of paths may contain cycles — take a BFS
     // spanning tree of the collected subgraph, then prune non-terminal
     // leaves.
-    let sub = subgraph_tree(g, &node_set, &edge_set, terms[0]);
-    Some(prune_steiner_leaves(g, sub, &terms))
+    Some(pruned_bfs_tree(g.num_nodes(), &edge_set, &terms))
 }
 
-/// BFS spanning tree of the subgraph `(nodes, edges)` from `root`,
-/// using only the listed edges.
-fn subgraph_tree(g: &CsrGraph, nodes: &NodeSet, edges: &[Edge], root: NodeId) -> Tree {
-    // adjacency restricted to `edges`
-    let mut adj: std::collections::HashMap<NodeId, Vec<NodeId>> = std::collections::HashMap::new();
+/// The BFS spanning tree of the subgraph `edges` from `terminals[0]`,
+/// cut down to the union of its terminal-to-root paths. Because the
+/// root is a terminal, that union is exactly what repeatedly removing
+/// non-terminal leaves leaves behind. Edges keep BFS discovery order.
+fn pruned_bfs_tree(n: usize, edges: &[Edge], terminals: &[NodeId]) -> Tree {
+    // adjacency of `edges` in CSR form, each list in edge order
+    let mut start = vec![0u32; n + 1];
     for e in edges {
-        adj.entry(e.u).or_default().push(e.v);
-        adj.entry(e.v).or_default().push(e.u);
+        start[e.u as usize + 1] += 1;
+        start[e.v as usize + 1] += 1;
     }
-    let mut tnodes = NodeSet::empty(g.num_nodes());
-    let mut tedges = Vec::new();
-    let mut queue = VecDeque::new();
-    tnodes.insert(root);
-    queue.push_back(root);
-    while let Some(v) = queue.pop_front() {
-        if let Some(nb) = adj.get(&v) {
-            for &w in nb {
-                if nodes.contains(w) && tnodes.insert(w) {
-                    tedges.push(Edge::new(v, w));
-                    queue.push_back(w);
-                }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut fill = start.clone();
+    let mut adj = vec![0 as NodeId; 2 * edges.len()];
+    for e in edges {
+        for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+            adj[fill[a as usize] as usize] = b;
+            fill[a as usize] += 1;
+        }
+    }
+
+    // BFS from the root; `discovered` lists (parent, child) pairs, so
+    // read backwards it visits every child before its parent
+    let root = terminals[0];
+    let mut seen = NodeSet::from_iter(n, [root]);
+    let mut queue = vec![root];
+    let mut discovered: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
+        for &w in &adj[start[v as usize] as usize..start[v as usize + 1] as usize] {
+            if seen.insert(w) {
+                discovered.push((v, w));
+                queue.push(w);
             }
         }
     }
-    Tree {
-        nodes: tnodes,
-        edges: tedges,
-    }
-}
 
-/// Iteratively removes non-terminal leaves (they never help a Steiner
-/// tree).
-fn prune_steiner_leaves(g: &CsrGraph, mut tree: Tree, terminals: &[NodeId]) -> Tree {
-    let term_set = NodeSet::from_iter(g.num_nodes(), terminals.iter().copied());
-    loop {
-        // degree within the tree
-        let mut deg: std::collections::HashMap<NodeId, u32> = std::collections::HashMap::new();
-        for e in &tree.edges {
-            *deg.entry(e.u).or_insert(0) += 1;
-            *deg.entry(e.v).or_insert(0) += 1;
+    let mut nodes = NodeSet::from_iter(n, terminals.iter().copied());
+    for &(parent, child) in discovered.iter().rev() {
+        if nodes.contains(child) {
+            nodes.insert(parent);
         }
-        let leaves: Vec<NodeId> = tree
-            .nodes
-            .iter()
-            .filter(|&v| !term_set.contains(v) && deg.get(&v).copied().unwrap_or(0) <= 1)
-            .collect();
-        if leaves.is_empty() {
-            return tree;
-        }
-        let leaf_set = NodeSet::from_iter(g.num_nodes(), leaves.iter().copied());
-        for v in leaves {
-            tree.nodes.remove(v);
-        }
-        tree.edges
-            .retain(|e| !leaf_set.contains(e.u) && !leaf_set.contains(e.v));
     }
+    let edges = discovered
+        .into_iter()
+        .filter(|&(_, child)| nodes.contains(child))
+        .map(|(parent, child)| Edge::new(parent, child))
+        .collect();
+    Tree { nodes, edges }
 }
 
 /// Maximum number of terminals accepted by [`dreyfus_wagner_cost`].
 pub const DREYFUS_WAGNER_MAX_TERMINALS: usize = 14;
 
+/// True when [`dreyfus_wagner_cost`] takes on `terminals` (≥ 2)
+/// distinct terminals of a graph with `num_nodes` nodes: at most
+/// [`DREYFUS_WAGNER_MAX_TERMINALS`] of them, and a `2^k × n` table of
+/// at most 16 M entries. Alive, connected terminals that fit always
+/// get their optimum.
+pub fn dreyfus_wagner_fits(num_nodes: usize, terminals: usize) -> bool {
+    terminals <= DREYFUS_WAGNER_MAX_TERMINALS
+        && (1usize << terminals).saturating_mul(num_nodes) <= 16_000_000
+}
+
+/// "Unreached" in the Dreyfus–Wagner slab: small enough that the sum
+/// of two entries never wraps.
+const INF: u32 = u32::MAX / 4;
+
 /// Exact minimum Steiner tree *cost* (number of edges) for `terminals`
 /// within `alive`, by the Dreyfus–Wagner subset DP.
 ///
 /// Returns `None` if terminals are not mutually connected, any terminal
-/// is dead, or there are more than [`DREYFUS_WAGNER_MAX_TERMINALS`]
-/// terminals. Cost in *edges*; the tree's node count is `cost + 1`.
+/// is dead, or the instance does not [fit](dreyfus_wagner_fits) (more
+/// than [`DREYFUS_WAGNER_MAX_TERMINALS`] terminals, or too large a
+/// table). Cost in *edges*; the tree's node count is `cost + 1`.
 pub fn dreyfus_wagner_cost(g: &CsrGraph, alive: &NodeSet, terminals: &[NodeId]) -> Option<u32> {
     let mut terms: Vec<NodeId> = terminals.to_vec();
     terms.sort_unstable();
@@ -322,104 +318,121 @@ pub fn dreyfus_wagner_cost(g: &CsrGraph, alive: &NodeSet, terminals: &[NodeId]) 
         return Some(0);
     }
     let n = g.num_nodes();
-    // DP table is 2^k × n u32s; refuse instances that would thrash
-    // memory (the span pipeline falls back to Mehlhorn bounds there).
-    if (1usize << k).saturating_mul(n) > 16_000_000 {
+    // refuse instances that would thrash memory (the span pipeline
+    // falls back to Mehlhorn bounds there)
+    if !dreyfus_wagner_fits(n, k) {
         return None;
     }
-    const INF: u32 = u32::MAX / 4;
 
-    // dp[mask][v]: min edges of a tree spanning terms(mask) ∪ {v}.
-    let full: usize = (1 << k) - 1;
-    let mut dp = vec![vec![INF; n]; full + 1];
+    // One flat slab: row `mask` holds, for every node v, the fewest
+    // edges of a tree spanning terms(mask) ∪ {v}, and the optimum is
+    // the full row's entry at a terminal.
+    let rows = 1usize << k;
+    let mut dp = vec![INF; rows * n];
+    let mut relax = UnitRelax::default();
     for (i, &t) in terms.iter().enumerate() {
-        let d = crate::distance::bfs_distances(g, alive, t);
-        for v in alive.iter() {
-            if d[v as usize] != UNREACHABLE {
-                dp[1 << i][v as usize] = d[v as usize];
-            }
-        }
+        let row = &mut dp[(1 << i) * n..][..n];
+        row[t as usize] = 0;
+        relax.run(g, alive, row);
     }
-
-    // Dial bucket relaxation: costs are bounded by n, so a bucket
-    // queue gives O(n + m + maxcost) per mask.
-    let relax = |dist: &mut Vec<u32>, g: &CsrGraph, alive: &NodeSet| {
-        let maxc = dist
-            .iter()
-            .filter(|&&c| c < INF)
-            .max()
-            .copied()
-            .unwrap_or(0) as usize;
-        let cap = maxc + n + 1;
-        let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); cap + 1];
-        for v in alive.iter() {
-            let c = dist[v as usize];
-            if c < INF {
-                buckets[c as usize].push(v);
-            }
+    for mask in 3..rows {
+        if mask & (mask - 1) == 0 {
+            continue; // a single terminal: its BFS row is above
         }
-        for c in 0..=cap {
-            let mut idx = 0;
-            while idx < buckets[c].len() {
-                let v = buckets[c][idx];
-                idx += 1;
-                if dist[v as usize] != c as u32 {
-                    continue; // stale
-                }
-                for &w in g.neighbors(v) {
-                    if alive.contains(w) && dist[w as usize] > c as u32 + 1 {
-                        dist[w as usize] = c as u32 + 1;
-                        if (c + 1) <= cap {
-                            buckets[c + 1].push(w);
-                        }
-                    }
-                }
-            }
-        }
-    };
-
-    for mask in 1..=full {
-        if mask.count_ones() <= 1 {
-            continue;
-        }
-        // merge partitions: iterate proper submasks containing the
-        // lowest set bit (avoids double counting).
+        let (done, todo) = dp.split_at_mut(mask * n);
+        let row = &mut todo[..n];
+        // every split {A, B} of mask once, its lowest terminal in A;
+        // min-plus merge without branches (INF + INF cannot wrap)
         let low = mask & mask.wrapping_neg();
-        let rest = mask ^ low;
-        let mut sub = rest;
-        // Partitions (A, B): A ∪ B = mask, disjoint, both nonempty,
-        // low ∈ A to break symmetry. A = sub|low, B = rest^sub.
-        let mut cur = vec![INF; n];
+        let high = mask ^ low;
+        let mut sub = high;
+        while sub != 0 {
+            sub = (sub - 1) & high;
+            let a = &done[(sub | low) * n..][..n];
+            let b = &done[(high ^ sub) * n..][..n];
+            for ((c, &x), &y) in row.iter_mut().zip(a).zip(b) {
+                *c = (*c).min(x.wrapping_add(y));
+            }
+        }
+        relax.run(g, alive, row);
+    }
+    let best = dp[(rows - 1) * n + terms[0] as usize];
+    (best < INF).then_some(best)
+}
+
+/// Unit-weight relaxation of one Dreyfus–Wagner row, its buffers
+/// reused across rows: a counting sort of the row's finite costs is
+/// the bucket queue, and costs settle level by level (level c + 1 is
+/// bucket c + 1 plus what level c reaches). Entries at or above `INF`
+/// are clamped to `INF`.
+#[derive(Default)]
+struct UnitRelax {
+    /// `start[c]..start[c + 1]` spans the nodes of initial cost `c` in
+    /// `by_cost`.
+    start: Vec<u32>,
+    /// Next free slot of each bucket while `by_cost` is filled.
+    fill: Vec<u32>,
+    by_cost: Vec<NodeId>,
+    level: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl UnitRelax {
+    fn run(&mut self, g: &CsrGraph, alive: &NodeSet, dist: &mut [u32]) {
+        let UnitRelax {
+            start,
+            fill,
+            by_cost,
+            level,
+            next,
+        } = self;
+        let mut top = 0u32;
+        for d in dist.iter_mut() {
+            *d = (*d).min(INF);
+            if *d < INF {
+                top = top.max(*d);
+            }
+        }
+        let top = top as usize;
+        start.clear();
+        start.resize(top + 2, 0);
+        for &d in dist.iter().filter(|&&d| d < INF) {
+            start[d as usize + 1] += 1;
+        }
+        for c in 0..=top {
+            start[c + 1] += start[c];
+        }
+        fill.clear();
+        fill.extend_from_slice(start);
+        by_cost.resize(start[top + 1] as usize, 0);
+        for (v, &d) in dist.iter().enumerate().filter(|&(_, &d)| d < INF) {
+            by_cost[fill[d as usize] as usize] = v as NodeId;
+            fill[d as usize] += 1;
+        }
+
+        level.clear();
+        let mut c = 0usize;
         loop {
-            let t1 = sub | low;
-            let t2 = rest ^ sub;
-            if t2 != 0 {
-                for v in 0..n {
-                    let a = dp[t1][v];
-                    let b = dp[t2][v];
-                    if a < INF && b < INF {
-                        let s = a + b;
-                        if s < cur[v] {
-                            cur[v] = s;
-                        }
+            if let Some(&end) = start.get(c + 1) {
+                // bucket entries lowered since the sort settled earlier
+                let bucket = &by_cost[start[c] as usize..end as usize];
+                level.extend(bucket.iter().filter(|&&v| dist[v as usize] as usize == c));
+            }
+            next.clear();
+            for &v in level.iter() {
+                for &w in g.neighbors(v) {
+                    if alive.contains(w) && dist[w as usize] as usize > c + 1 {
+                        dist[w as usize] = c as u32 + 1;
+                        next.push(w);
                     }
                 }
             }
-            if sub == 0 {
-                break;
+            if c >= top && next.is_empty() {
+                return;
             }
-            sub = (sub - 1) & rest;
+            std::mem::swap(level, next);
+            c += 1;
         }
-        relax(&mut cur, g, alive);
-        dp[mask] = cur;
-    }
-
-    let t0 = terms[0] as usize;
-    let best = dp[full][t0];
-    if best >= INF {
-        None
-    } else {
-        Some(best)
     }
 }
 

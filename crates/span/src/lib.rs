@@ -12,7 +12,8 @@
 //! * [`compact_sets`] — enumeration and random sampling of compact
 //!   sets (connected with connected complement);
 //! * [`span`] — exact span for small graphs (Dreyfus–Wagner Steiner
-//!   costs), sampled lower bounds for large ones;
+//!   costs), sampled estimates for large ones (a maximum of per-set
+//!   ratios, each exact or a Mehlhorn upper bound);
 //! * [`mesh`] — the constructive Theorem 3.6 / Lemma 3.7 machinery
 //!   showing d-dimensional meshes have span ≤ 2 (virtual-edge
 //!   boundary graphs and explicit ≤ 2(|Γ|−1)-edge witness trees);

@@ -8,18 +8,31 @@
 //! the boundary `Γ(U)` (a Steiner tree over terminal set `Γ(U)`,
 //! measured in **nodes**, and free to use nodes from either side).
 //!
-//! `|P(U)|` is NP-hard, so a single set's ratio is reported as an
-//! interval: exact when Dreyfus–Wagner fits, otherwise
-//! `[max(|Γ|, DW-infeasible lower), Mehlhorn upper]`. The graph-level
-//! span is exact only under exhaustive enumeration with exact Steiner
-//! costs; everything else is labelled accordingly.
+//! `|P(U)|` is NP-hard. [`set_span`] measures one set the reference
+//! way: exact by Dreyfus–Wagner when it fits (≤ 14 terminals),
+//! otherwise Mehlhorn's tree, an upper bound. The graph-level paths
+//! ([`exact_span`], [`sampled_span`]) reach the same maximum with far
+//! fewer exact solves: they build Mehlhorn's tree for every set first
+//! and run Dreyfus–Wagner only when Mehlhorn's ratio is strictly above
+//! the running maximum, since the exact ratio never exceeds it.
 
 use crate::compact_sets::{for_each_compact_set, random_compact_path, random_compact_set};
 use fx_graph::boundary::node_boundary;
 use fx_graph::par::CancelToken;
-use fx_graph::tree::{dreyfus_wagner_cost, mehlhorn_steiner, DREYFUS_WAGNER_MAX_TERMINALS};
-use fx_graph::{CsrGraph, NodeSet};
+use fx_graph::tree::{
+    dreyfus_wagner_cost, dreyfus_wagner_fits, mehlhorn_steiner, DREYFUS_WAGNER_MAX_TERMINALS,
+};
+use fx_graph::{CsrGraph, NodeId, NodeSet};
+use fx_trace::{Counter, Target};
 use rand::Rng;
+
+// How the span paths decided their sets (`FXNET_TRACE=span`).
+// `dw_calls + dw_skipped` counts the sets of 2–14 terminals whose
+// Dreyfus–Wagner table fits; `mehlhorn_decided` counts the sets
+// Dreyfus–Wagner refuses.
+static DW_CALLS: Counter = Counter::new(Target::Span, "dw_calls");
+static DW_SKIPPED: Counter = Counter::new(Target::Span, "dw_skipped");
+static MEHLHORN_DECIDED: Counter = Counter::new(Target::Span, "mehlhorn_decided");
 
 /// Span ratio of a single compact set.
 #[derive(Debug, Clone)]
@@ -74,21 +87,140 @@ pub fn set_span(g: &CsrGraph, u: &NodeSet) -> Option<SetSpan> {
     })
 }
 
+/// A compact set's boundary and Mehlhorn's tree over it: enough to
+/// tell whether its exact Steiner cost could matter.
+struct Bounded {
+    terminals: Vec<NodeId>,
+    /// Mehlhorn's tree (exact for a single terminal).
+    mehlhorn: SetSpan,
+}
+
+impl Bounded {
+    /// Mehlhorn's ratio: at least the exact one.
+    fn bound(&self) -> f64 {
+        self.mehlhorn.ratio()
+    }
+}
+
+/// The running estimate both span paths fold their sets into.
+struct Fold<'g> {
+    g: &'g CsrGraph,
+    alive: NodeSet,
+    /// `exhaustive` holds "every value so far was exact" until
+    /// [`Fold::finish`].
+    estimate: SpanEstimate,
+    /// This call's share of the `span` trace counters.
+    dw_calls: u64,
+    dw_skipped: u64,
+    mehlhorn_decided: u64,
+}
+
+impl<'g> Fold<'g> {
+    fn new(g: &'g CsrGraph) -> Fold<'g> {
+        Fold {
+            g,
+            alive: NodeSet::full(g.num_nodes()),
+            estimate: SpanEstimate {
+                max_ratio: 0.0,
+                worst_set: None,
+                worst_exact: false,
+                sets_examined: 0,
+                exhaustive: true,
+            },
+            dw_calls: 0,
+            dw_skipped: 0,
+            mehlhorn_decided: 0,
+        }
+    }
+
+    /// The boundary of `u` and Mehlhorn's tree over it; `None` exactly
+    /// when [`set_span`] is `None`.
+    fn bound(&self, u: &NodeSet) -> Option<Bounded> {
+        let terminals = node_boundary(self.g, &self.alive, u).to_vec();
+        let tree_nodes = match terminals.len() {
+            0 => return None,
+            1 => 1,
+            _ => mehlhorn_steiner(self.g, &self.alive, &terminals)?.num_nodes(),
+        };
+        Some(Bounded {
+            mehlhorn: SetSpan {
+                boundary: terminals.len(),
+                tree_nodes,
+                exact: terminals.len() == 1,
+            },
+            terminals,
+        })
+    }
+
+    /// Folds in one bounded set: the per-set evaluator of both span
+    /// paths. The set's value is exact when Dreyfus–Wagner fits it,
+    /// else Mehlhorn's ratio. Dreyfus–Wagner runs only when Mehlhorn's
+    /// ratio is strictly above the running maximum; otherwise the exact
+    /// ratio, no larger, cannot raise it, and the set counts as exactly
+    /// decided without a solve.
+    fn add(&mut self, u: &NodeSet, set: Bounded) {
+        let est = &mut self.estimate;
+        est.sets_examined += 1;
+        let k = set.terminals.len();
+        let value = if set.mehlhorn.exact {
+            set.mehlhorn
+        } else if !dreyfus_wagner_fits(self.g.num_nodes(), k) {
+            self.mehlhorn_decided += 1;
+            set.mehlhorn
+        } else if set.bound() <= est.max_ratio {
+            self.dw_skipped += 1;
+            return;
+        } else {
+            self.dw_calls += 1;
+            match dreyfus_wagner_cost(self.g, &self.alive, &set.terminals) {
+                Some(cost) => SetSpan {
+                    boundary: k,
+                    tree_nodes: cost as usize + 1,
+                    exact: true,
+                },
+                None => set.mehlhorn,
+            }
+        };
+        est.exhaustive &= value.exact;
+        if value.ratio() > est.max_ratio {
+            est.max_ratio = value.ratio();
+            est.worst_set = Some(u.clone());
+            est.worst_exact = value.exact;
+        }
+    }
+
+    /// The estimate, exhaustive when `complete` (every compact set was
+    /// folded in) and every value was exact.
+    fn finish(mut self, complete: bool) -> SpanEstimate {
+        if fx_trace::enabled(Target::Span) {
+            DW_CALLS.add(self.dw_calls);
+            DW_SKIPPED.add(self.dw_skipped);
+            MEHLHORN_DECIDED.add(self.mehlhorn_decided);
+        }
+        self.estimate.exhaustive &= complete;
+        self.estimate
+    }
+}
+
 /// A span estimate for a whole graph.
 #[derive(Debug, Clone)]
 pub struct SpanEstimate {
-    /// Largest ratio observed.
+    /// The largest per-set value over the examined sets. A set's value
+    /// is its exact ratio when Dreyfus–Wagner fits it (≤ 14 boundary
+    /// terminals), else Mehlhorn's ratio, an upper bound on its exact
+    /// one (within 2×). Sets whose Mehlhorn ratio is ≤ the running
+    /// maximum skip the exact solve; that never changes this value.
     pub max_ratio: f64,
-    /// The compact set realizing it.
+    /// A compact set realizing it (the first evaluated, among ties).
     pub worst_set: Option<NodeSet>,
     /// Whether that worst ratio used an exact Steiner cost.
     pub worst_exact: bool,
-    /// Number of compact sets examined.
+    /// Number of compact sets examined, skipped ones included.
     pub sets_examined: usize,
-    /// True when every compact set was examined with exact Steiner
-    /// costs — then `max_ratio` *is* the span. Otherwise `max_ratio`
-    /// is a lower bound on σ (each examined ratio can also carry
-    /// Mehlhorn slack ≤ 2×).
+    /// True when every compact set was examined and each value was
+    /// exact or skipped — then `max_ratio` *is* the span σ. Otherwise
+    /// `max_ratio` bounds σ on neither side: unexamined sets can lift
+    /// σ above it, and a Mehlhorn-only value can sit above σ.
     pub exhaustive: bool,
 }
 
@@ -98,46 +230,30 @@ pub fn exact_span(g: &CsrGraph, cap: usize) -> SpanEstimate {
     exact_span_cancelable(g, cap, &CancelToken::new())
 }
 
-/// [`exact_span`] polling a [`CancelToken`] between compact sets: the
-/// campaign layer's per-cell `timeout_ms` rides on this, since exact
-/// enumeration is the canonical pathological cell. A cancelled run
-/// returns what was examined so far, marked non-exhaustive (a lower
-/// bound on σ, like any truncated enumeration).
+/// [`exact_span`] polling a [`CancelToken`] before each compact set:
+/// the campaign layer's per-cell `timeout_ms` rides on this, since
+/// exact enumeration is the canonical pathological cell. A cancelled
+/// run returns what was examined so far, marked non-exhaustive.
 pub fn exact_span_cancelable(g: &CsrGraph, cap: usize, token: &CancelToken) -> SpanEstimate {
-    let mut max_ratio = 0.0f64;
-    let mut worst: Option<NodeSet> = None;
-    let mut worst_exact = false;
-    let mut examined = 0usize;
-    let mut all_exact = true;
+    let mut fold = Fold::new(g);
     let mut cancelled = false;
-    let (_, exhaustive) = for_each_compact_set(g, cap, |u| {
+    let (_, complete) = for_each_compact_set(g, cap, |u| {
         if token.is_cancelled() {
             cancelled = true;
             return false;
         }
-        if let Some(s) = set_span(g, u) {
-            examined += 1;
-            all_exact &= s.exact;
-            if s.ratio() > max_ratio {
-                max_ratio = s.ratio();
-                worst = Some(u.clone());
-                worst_exact = s.exact;
-            }
+        if let Some(set) = fold.bound(u) {
+            fold.add(u, set);
         }
         true
     });
-    SpanEstimate {
-        max_ratio,
-        worst_set: worst,
-        worst_exact,
-        sets_examined: examined,
-        exhaustive: exhaustive && all_exact && !cancelled,
-    }
+    fold.finish(complete && !cancelled)
 }
 
-/// Sampled span lower bound: draws `samples` random compact sets
-/// (mixing blobby and elongated shapes) and returns the worst ratio
-/// seen. Always a *lower* bound on σ.
+/// Sampled span: draws `samples` random compact sets (even draws
+/// blobby, odd draws elongated) and returns the largest per-set value
+/// (see [`SpanEstimate::max_ratio`]). Not exhaustive, so neither a
+/// lower nor an upper bound on σ.
 pub fn sampled_span<R: Rng + ?Sized>(
     g: &CsrGraph,
     samples: usize,
@@ -147,10 +263,14 @@ pub fn sampled_span<R: Rng + ?Sized>(
     sampled_span_cancelable(g, samples, max_size, rng, &CancelToken::new())
 }
 
-/// [`sampled_span`] polling a [`CancelToken`] between samples, so
-/// campaign cells with `timeout_ms` return promptly on large graphs
-/// too. A cancelled run reports the samples drawn so far (still a
-/// valid lower bound on σ).
+/// [`sampled_span`] polling a [`CancelToken`] before each draw and
+/// each set evaluation, so campaign cells with `timeout_ms` return
+/// promptly on large graphs too. Every set is drawn (and bounded by
+/// Mehlhorn's tree) before any is solved exactly, so the draws use the
+/// RNG stream of an evaluation-free loop. Sets are then evaluated in
+/// descending-bound order, ties in draw order, so the maximum rises on
+/// the first exact solves. A cancelled run reports the sets evaluated
+/// before the token fired.
 pub fn sampled_span_cancelable<R: Rng + ?Sized>(
     g: &CsrGraph,
     samples: usize,
@@ -158,10 +278,8 @@ pub fn sampled_span_cancelable<R: Rng + ?Sized>(
     rng: &mut R,
     token: &CancelToken,
 ) -> SpanEstimate {
-    let mut max_ratio = 0.0f64;
-    let mut worst: Option<NodeSet> = None;
-    let mut worst_exact = false;
-    let mut examined = 0usize;
+    let mut fold = Fold::new(g);
+    let mut drawn: Vec<(NodeSet, Bounded)> = Vec::new();
     for i in 0..samples {
         if token.is_cancelled() {
             break;
@@ -172,21 +290,19 @@ pub fn sampled_span_cancelable<R: Rng + ?Sized>(
             random_compact_path(g, max_size, 50, rng)
         };
         let Some(u) = set else { continue };
-        let Some(s) = set_span(g, &u) else { continue };
-        examined += 1;
-        if s.ratio() > max_ratio {
-            max_ratio = s.ratio();
-            worst = Some(u);
-            worst_exact = s.exact;
+        if let Some(bounded) = fold.bound(&u) {
+            drawn.push((u, bounded));
         }
     }
-    SpanEstimate {
-        max_ratio,
-        worst_set: worst,
-        worst_exact,
-        sets_examined: examined,
-        exhaustive: false,
+    // a stable sort: equal bounds keep draw order
+    drawn.sort_by(|(_, a), (_, b)| b.bound().total_cmp(&a.bound()));
+    for (u, set) in drawn {
+        if token.is_cancelled() {
+            break;
+        }
+        fold.add(&u, set);
     }
+    fold.finish(false)
 }
 
 #[cfg(test)]

@@ -56,10 +56,12 @@ pub enum Target {
     Serve = 8,
     /// The content-addressed cell-result store (`fx-store`).
     Store = 9,
+    /// Span estimation (`fx-span`): how each compact set was decided.
+    Span = 10,
 }
 
 /// Number of distinct [`Target`]s.
-pub const NUM_TARGETS: usize = 10;
+pub const NUM_TARGETS: usize = 11;
 
 impl Target {
     /// All targets, in discriminant order.
@@ -74,6 +76,7 @@ impl Target {
         Target::Dyncon,
         Target::Serve,
         Target::Store,
+        Target::Span,
     ];
 
     /// The filter-grammar name of this target.
@@ -89,6 +92,7 @@ impl Target {
             Target::Dyncon => "dyncon",
             Target::Serve => "serve",
             Target::Store => "store",
+            Target::Span => "span",
         }
     }
 

@@ -125,6 +125,55 @@ fn conjecture_families_span_stays_small_full() {
     check_conjecture_families_span_stays_small(&[4, 6], 60);
 }
 
+/// A set with more than 14 boundary terminals is decided by
+/// Mehlhorn's tree alone, and such trees set most sampled cells'
+/// `span`. This pins the trees `mehlhorn_steiner` builds over a fixed
+/// list of sampled `butterfly:5` and `debruijn:7` boundaries: an FNV-1a
+/// digest of every tree's node list and edge list, in order.
+#[test]
+fn mehlhorn_trees_on_wide_boundaries_are_pinned() {
+    use fault_expansion::graph::boundary::node_boundary;
+    use fault_expansion::graph::generators::{butterfly, de_bruijn};
+    use fault_expansion::graph::tree::{mehlhorn_steiner, DREYFUS_WAGNER_MAX_TERMINALS};
+    use fault_expansion::span::compact_sets::random_compact_path;
+
+    let mut bytes = Vec::new();
+    let mut trees = 0usize;
+    for (g, seed) in [(butterfly(5), 5u64), (de_bruijn(7), 7)] {
+        let n = g.num_nodes();
+        let alive = NodeSet::full(n);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for i in 0..40 {
+            let drawn = if i % 2 == 0 {
+                fault_expansion::span::random_compact_set(&g, n / 4, 50, &mut rng)
+            } else {
+                random_compact_path(&g, n / 4, 50, &mut rng)
+            };
+            let Some(u) = drawn else { continue };
+            let terminals = node_boundary(&g, &alive, &u).to_vec();
+            if terminals.len() <= DREYFUS_WAGNER_MAX_TERMINALS {
+                continue;
+            }
+            let tree = mehlhorn_steiner(&g, &alive, &terminals).expect("connected graph");
+            assert!(tree.validate(&g).is_ok() && tree.spans(&terminals));
+            bytes.extend((tree.num_nodes() as u32).to_le_bytes());
+            for v in tree.nodes.iter() {
+                bytes.extend(v.to_le_bytes());
+            }
+            for e in &tree.edges {
+                bytes.extend(e.u.to_le_bytes());
+                bytes.extend(e.v.to_le_bytes());
+            }
+            trees += 1;
+        }
+    }
+    assert_eq!(
+        (trees, fx_store::fnv1a(&bytes)),
+        (47, 0x611d_cd1f_8412_aa5c),
+        "Mehlhorn's trees changed"
+    );
+}
+
 /// Exact span of tiny meshes is monotone-ish in elongation and always
 /// within (1, 2]: a regression anchor for the span pipeline.
 #[test]

@@ -1,20 +1,22 @@
 //! Property-based invariants across the workspace (proptest).
 //!
 //! Each property pins a contract the theorems rely on: set algebra,
-//! component/union-find agreement, Steiner approximation factors,
-//! Lemma 3.3 compactification, prune postconditions, and sweep
-//! monotonicity.
+//! component/union-find agreement, exact and approximate Steiner
+//! costs, the span paths against the reference `set_span`, Lemma 3.3
+//! compactification, prune postconditions, and sweep monotonicity.
 
 use fault_expansion::prelude::*;
 use fx_expansion::cut::Cut;
 use fx_graph::boundary::{edge_cut_size, node_boundary};
 use fx_graph::components::components;
 use fx_graph::traversal::{bfs_ball, is_connected_subset};
-use fx_graph::tree::{dreyfus_wagner_cost, mehlhorn_steiner};
+use fx_graph::tree::{dreyfus_wagner_cost, dreyfus_wagner_fits, mehlhorn_steiner};
 use fx_graph::unionfind::UnionFind;
+use fx_span::compact_sets::{for_each_compact_set, random_compact_path, random_compact_set};
+use fx_span::span::set_span;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Strategy: a random small graph as (n, edge list).
 fn small_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -33,6 +35,58 @@ fn build(n: usize, pairs: &[(u32, u32)]) -> CsrGraph {
         b.add_edge_skip_loop(u, v);
     }
     b.build()
+}
+
+/// Strategy: a random graph on at most 10 nodes, small enough to
+/// brute-force over node subsets.
+fn tiny_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (2usize..11).prop_flat_map(|n| {
+        (
+            Just(n),
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..24),
+        )
+    })
+}
+
+/// Strategy: a random connected graph, a random spanning tree plus up
+/// to `extra` random edges.
+fn connected_graph(nodes: std::ops::Range<usize>, extra: usize) -> impl Strategy<Value = CsrGraph> {
+    nodes
+        .prop_flat_map(move |n| {
+            (
+                Just(n),
+                proptest::collection::vec(0..u32::MAX, n - 1..n),
+                proptest::collection::vec((0..n as u32, 0..n as u32), 0..extra),
+            )
+        })
+        .prop_map(|(n, parents, mut pairs)| {
+            pairs.extend((1..n as u32).zip(parents).map(|(v, p)| (v, p % v)));
+            build(n, &pairs)
+        })
+}
+
+/// Fewest edges of a connected subgraph of the alive nodes that holds
+/// every terminal, by brute force over node subsets (n ≤ 10).
+fn steiner_cost_brute_force(g: &CsrGraph, alive: &NodeSet, terminals: &[u32]) -> Option<u32> {
+    let need = terminals.iter().fold(0u32, |m, &t| m | 1 << t);
+    let allowed = alive.iter().fold(0u32, |m, v| m | 1 << v);
+    let connected = |set: u32| {
+        let start = set.trailing_zeros();
+        let (mut seen, mut stack) = (1u32 << start, vec![start]);
+        while let Some(v) = stack.pop() {
+            for &w in g.neighbors(v) {
+                if set >> w & 1 == 1 && seen >> w & 1 == 0 {
+                    seen |= 1 << w;
+                    stack.push(w);
+                }
+            }
+        }
+        seen == set
+    };
+    (1u32..1 << g.num_nodes())
+        .filter(|&set| set & need == need && set & !allowed == 0 && connected(set))
+        .map(|set| set.count_ones() - 1)
+        .min()
 }
 
 proptest! {
@@ -238,5 +292,89 @@ proptest! {
         if cut.size() > 0 {
             prop_assert!(cut.node_ratio() >= 0.0);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Dreyfus–Wagner is exact: its cost is what brute force over node
+    /// subsets finds, and the two refuse the same inputs (a dead or
+    /// unreachable terminal).
+    #[test]
+    fn dreyfus_wagner_matches_brute_force(
+        (n, pairs) in tiny_graph(),
+        dead in proptest::collection::vec(0usize..10, 0..3),
+        picks in proptest::collection::vec(0usize..10, 1..8),
+    ) {
+        let g = build(n, &pairs);
+        let mut alive = NodeSet::full(n);
+        for &d in &dead {
+            alive.remove((d % n) as u32);
+        }
+        let terms: Vec<u32> = picks.iter().map(|&x| (x % n) as u32).collect();
+        prop_assert_eq!(
+            dreyfus_wagner_cost(&g, &alive, &terms),
+            steiner_cost_brute_force(&g, &alive, &terms)
+        );
+    }
+
+    /// The bound-skipping exact path reports what the reference path
+    /// does: `exact_span`'s maximum, set count and exhaustiveness equal
+    /// a fold of `set_span` over the same (possibly capped)
+    /// enumeration, and `set_span` solves every set Dreyfus–Wagner
+    /// fits.
+    #[test]
+    fn exact_span_equals_a_fold_of_set_span(
+        g in connected_graph(3..11, 12),
+        cap in 20usize..3000,
+    ) {
+        let n = g.num_nodes();
+        let est = exact_span(&g, cap);
+        let (mut max, mut sets, mut all_exact, mut reference) = (0.0f64, 0usize, true, true);
+        let (_, complete) = for_each_compact_set(&g, cap, |u| {
+            if let Some(s) = set_span(&g, u) {
+                sets += 1;
+                all_exact &= s.exact;
+                max = max.max(s.ratio());
+                reference &= s.exact == (s.boundary == 1 || dreyfus_wagner_fits(n, s.boundary));
+            }
+            true
+        });
+        prop_assert!(reference, "set_span left a set Dreyfus–Wagner fits unsolved");
+        prop_assert_eq!(est.max_ratio.to_bits(), max.to_bits());
+        prop_assert_eq!(est.sets_examined, sets);
+        prop_assert_eq!(est.exhaustive, complete && all_exact);
+    }
+
+    /// The sampled path draws every set first and evaluates them in
+    /// bound order, skipping exact solves, yet reports the maximum and
+    /// set count of a fold of `set_span` over the same draws, and
+    /// leaves the RNG where a plain draw loop does.
+    #[test]
+    fn sampled_span_equals_a_fold_over_its_draws(
+        g in connected_graph(12..48, 60),
+        seed in 0u64..1_000_000,
+        samples in 1usize..24,
+    ) {
+        let max_size = g.num_nodes() / 2;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let est = sampled_span(&g, samples, max_size, &mut rng);
+        let mut replay = SmallRng::seed_from_u64(seed);
+        let (mut max, mut sets) = (0.0f64, 0usize);
+        for i in 0..samples {
+            let drawn = if i % 2 == 0 {
+                random_compact_set(&g, max_size, 50, &mut replay)
+            } else {
+                random_compact_path(&g, max_size, 50, &mut replay)
+            };
+            if let Some(s) = drawn.and_then(|u| set_span(&g, &u)) {
+                sets += 1;
+                max = max.max(s.ratio());
+            }
+        }
+        prop_assert_eq!(est.max_ratio.to_bits(), max.to_bits());
+        prop_assert_eq!(est.sets_examined, sets);
+        prop_assert_eq!(rng.next_u64(), replay.next_u64());
     }
 }
