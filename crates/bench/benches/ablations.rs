@@ -1,6 +1,6 @@
-//! Bench: ablation A1 — the cut-finder hierarchy: quality is reported
-//! by the experiments binary; this bench isolates the *cost* of each
-//! oracle answer on identical inputs, plus the end-to-end analyzer.
+//! Bench: ablation A1 — the cut-finder hierarchy: this bench isolates
+//! the *cost* of each oracle answer on identical inputs, plus the
+//! end-to-end analyzer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fx_core::{analyze_adversarial, AnalyzerConfig, Family};

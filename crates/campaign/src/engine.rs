@@ -10,7 +10,7 @@ use crate::exec::{run_cell_resilient, CellResult};
 use crate::grid::{expand, Cell};
 use crate::journal::Journal;
 use crate::spec::CampaignSpec;
-use fx_bench::{f as fmt_f, Table};
+use crate::table::{f as fmt_f, write_csv, Table};
 use fx_graph::par::Pool;
 use fx_trace::{Span, Target};
 use std::collections::{HashMap, HashSet};
@@ -424,7 +424,7 @@ fn finish(
     // Artifacts carry full precision; only the printed table rounds
     // (through fmt_f) for readability.
     let csv_path = dir.join("aggregates.csv");
-    fx_bench::write_csv(&aggregates_table(spec, &aggregates, false), &csv_path)
+    write_csv(&aggregates_table(spec, &aggregates, false), &csv_path)
         .map_err(|e| format!("writing CSV: {e}"))?;
     let json_path = dir.join("aggregates.json");
     std::fs::write(&json_path, aggregates_json(&aggregates).to_string_pretty())
@@ -591,8 +591,7 @@ fn aggregates_table(spec: &CampaignSpec, aggregates: &[GroupAggregate], rounded:
     table
 }
 
-/// Full-precision JSON artifact: one object per `(group, metric)`,
-/// keeping the metric name (which `Table::to_rows` would drop).
+/// Full-precision JSON artifact: one object per `(group, metric)`.
 fn aggregates_json(aggregates: &[GroupAggregate]) -> fx_json::Json {
     use fx_json::Json;
     Json::Arr(

@@ -35,6 +35,7 @@ use fx_percolation::{
 };
 use fx_prune::bounds::{theorem23_component_bound, theorem25_removal_bound};
 use fx_prune::{compactify, dissect, is_compact, prune, theorem34_max_epsilon, CutStrategy};
+use fx_span::count::{claim32_bound, count_connected_subsets_by_size};
 use fx_span::span::{exact_span_cancelable, sampled_span_cancelable};
 use fx_trace::{Span, Target};
 use rand::rngs::SmallRng;
@@ -452,6 +453,7 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
         Algo::Routing => routing_metrics(&built, params, cell, &mut rng, token),
         Algo::LoadBalance => load_balance_metrics(&built, params, cell, &mut rng, token),
         Algo::Embed => embed_metrics(&built, params, cell, &mut rng, token),
+        Algo::SubgraphCount => subgraph_count_metrics(&built),
     };
     metrics.extend(scenario_metrics(&built, params));
     drop(algo_span);
@@ -1076,6 +1078,35 @@ fn embed_metrics(
     m
 }
 
+/// Largest subgraph size `r` a `subgraph-count` cell counts.
+const SUBGRAPH_COUNT_MAX_R: usize = 6;
+
+/// E8 (Claim 3.2): exact counts of connected node subsets of each size
+/// `r ≤ 6`, and whether every count is within the `n·δ^{2r}` bound.
+/// A graph with more than 50 M connected subsets journals only
+/// `exhaustive = 0`.
+fn subgraph_count_metrics(built: &BuiltScenario) -> Vec<(String, f64)> {
+    let net = &built.net;
+    let (n, delta) = (net.n(), net.max_degree());
+    let max_r = SUBGRAPH_COUNT_MAX_R.min(n);
+    let mut m = vec![
+        ("n".to_string(), n as f64),
+        ("delta".to_string(), delta as f64),
+    ];
+    let Some(counts) = count_connected_subsets_by_size(&net.graph, max_r, 50_000_000) else {
+        m.push(("exhaustive".to_string(), 0.0));
+        return m;
+    };
+    let mut within = true;
+    for (r, &count) in counts.iter().enumerate().skip(1) {
+        within &= count as f64 <= claim32_bound(n, delta, r);
+        m.push((format!("count_r{r}"), count as f64));
+    }
+    m.push(("exhaustive".to_string(), 1.0));
+    m.push(("within_bound".to_string(), f64::from(within)));
+    m
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1160,6 +1191,22 @@ algorithms = ["prune2", "percolation"]
         let r = run_cell(&span_spec, &expand(&span_spec).unwrap()[0]);
         assert_eq!(r.metric("exhaustive"), Some(1.0));
         assert!(r.metric("span").unwrap() <= 2.0 + 1e-9, "Theorem 3.6");
+    }
+
+    #[test]
+    fn subgraph_count_cell_counts_cycle_arcs() {
+        let spec = CampaignSpec::parse(
+            "name = \"c\"\ngraphs = [\"cycle:12\"]\nalgorithms = [\"subgraph-count\"]",
+        )
+        .unwrap();
+        let r = run_cell(&spec, &expand(&spec).unwrap()[0]);
+        // a connected subset of 12-cycle nodes is an arc: 12 per size
+        for size in 1..=SUBGRAPH_COUNT_MAX_R {
+            assert_eq!(r.metric(&format!("count_r{size}")), Some(12.0));
+        }
+        assert_eq!(r.metric("count_r7"), None);
+        assert_eq!(r.metric("exhaustive"), Some(1.0));
+        assert_eq!(r.metric("within_bound"), Some(1.0));
     }
 
     #[test]

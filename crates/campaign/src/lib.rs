@@ -18,7 +18,8 @@
 //!    ranges like `targeted:0.05..0.25/5` that expand into a severity
 //!    axis) × algorithms (`prune`, `prune2`, `percolation`, `span`,
 //!    `expansion-cert`, `shatter`, `dissect`, `diameter`,
-//!    `compact-audit`, `routing`, `load-balance`, `embed`) ×
+//!    `compact-audit`, `routing`, `load-balance`, `embed`,
+//!    `subgraph-count`) ×
 //!    replicates. Experiments whose sub-grids are not one cross
 //!    product declare several `[grid-…]` tables, each of which may
 //!    override `epsilon`/`samples`/`timeout_ms` for its own cells.
@@ -34,7 +35,7 @@
 //!    schedule-independent order, so interrupted-and-resumed runs
 //!    produce bit-identical statistics.
 //! 5. **Emit** artifacts (`aggregates.csv`, `aggregates.json`, the
-//!    printed table) through `fx-bench`'s table machinery.
+//!    printed table).
 //!
 //! The `fxnet campaign run|resume|report` subcommands wrap this crate;
 //! `specs/` in the repository root ships campaign ports of the former
@@ -126,6 +127,7 @@ pub mod journal;
 pub mod serve;
 pub mod spec;
 pub mod store_key;
+mod table;
 pub mod toml;
 
 pub use agg::{aggregate, GroupAggregate, Welford};
@@ -133,7 +135,7 @@ pub use engine::{journal_for, report, run, RunOptions, RunSummary};
 pub use exec::{cell_params, run_cell, run_cell_cancelable, run_cell_resilient, CellResult};
 pub use grid::{cell_seed, expand, shard_of, Cell};
 pub use journal::{merge_journals, merge_journals_checked, Journal, LoadReport, MergeSummary};
-pub use serve::{serve, ServeOptions, Server};
+pub use serve::{cell_body, compute_cell, index_cells, resolve_cell, serve, ServeOptions, Server};
 pub use spec::{
     Algo, CampaignSpec, ChurnCurves, FaultSpec, GridOverrides, GridSpec, Params, TargetBy,
 };

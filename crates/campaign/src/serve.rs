@@ -21,6 +21,8 @@
 //!   and metrics only — no wall-clock fields), so a response can be
 //!   byte-compared across hot/cold/chaos runs; the `X-Cache` header
 //!   (`hit` or `miss`) carries the cache disposition out of band.
+//!   `fxnet cell` runs the same [`resolve_cell`] → [`compute_cell`] →
+//!   [`cell_body`] path without a daemon.
 //! * `GET /v1/health` — liveness probe (`ok`).
 //! * `GET /v1/stats` — hits/misses/coalesced/computed/rejected
 //!   counters plus inflight and queue-depth gauges. Gauges live in
@@ -200,10 +202,7 @@ pub fn serve(spec: &CampaignSpec, opts: &ServeOptions) -> Result<Server, String>
         ),
         None => None,
     };
-    let known = expand(spec)?
-        .into_iter()
-        .map(|cell| (canonical_cell_key(&cell), cell))
-        .collect();
+    let known = index_cells(spec)?;
     let listener =
         TcpListener::bind(&opts.addr).map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
     let addr = listener
@@ -289,6 +288,15 @@ impl Server {
     }
 }
 
+/// The spec's expanded cells by canonical identity key: the grid a
+/// [`resolve_cell`] query is matched against.
+pub fn index_cells(spec: &CampaignSpec) -> Result<HashMap<String, Cell>, String> {
+    Ok(expand(spec)?
+        .into_iter()
+        .map(|cell| (canonical_cell_key(&cell), cell))
+        .collect())
+}
+
 /// The canonical (spelling-normalized) identity key of a cell — what
 /// queries are resolved against.
 fn canonical_cell_key(cell: &Cell) -> String {
@@ -307,6 +315,9 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             return;
         }
         let Ok(stream) = conn else { continue };
+        // Without it, Nagle's algorithm holds a response until the
+        // client's delayed ACK of the previous one (~40 ms).
+        let _ = stream.set_nodelay(true);
         let mut conns = shared.conns.lock().unwrap();
         conns.push_back(stream);
         drop(conns);
@@ -377,8 +388,10 @@ impl Response {
         Response::new(status, reason, fx_json::to_string(&body))
     }
 
+    /// Writes head and body with one `write_all`, so a response never
+    /// leaves as two segments.
     fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        let mut head = format!(
+        let mut out = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n",
             self.status,
             self.reason,
@@ -386,13 +399,12 @@ impl Response {
             self.body.len()
         );
         for h in &self.extra_headers {
-            head.push_str(h);
-            head.push_str("\r\n");
+            out.push_str(h);
+            out.push_str("\r\n");
         }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())?;
-        stream.flush()
+        out.push_str("\r\n");
+        out.push_str(&self.body);
+        stream.write_all(out.as_bytes())
     }
 }
 
@@ -631,30 +643,50 @@ fn query_param(query: &str, name: &str) -> Option<String> {
     })
 }
 
-/// Resolves a query to a cell: canonical scenario spelling, parsed
-/// fault + algorithm, validity-checked against the `accepts` matrix.
-/// Queries naming a cell of the spec's own grid reuse that expanded
-/// cell (its grid overrides and seed); ad-hoc cells run under the
-/// first grid's effective params with an identity-derived seed, just
-/// like a campaign would derive it.
-fn resolve_cell(query: &str, shared: &Shared) -> Result<Cell, String> {
-    let scenario_spec = query_param(query, "scenario").ok_or("missing `scenario` parameter")?;
-    let fault_spec = query_param(query, "fault").unwrap_or_else(|| "none".to_string());
-    let algo_name = query_param(query, "algo").ok_or("missing `algo` parameter")?;
+/// Reads a `/v1/cell` query string's `scenario`, `fault` (default
+/// `none`), `algo` and `replicate` (default 0) into a cell.
+fn query_cell(query: &str, shared: &Shared) -> Result<Cell, String> {
+    let scenario = query_param(query, "scenario").ok_or("missing `scenario` parameter")?;
+    let fault = query_param(query, "fault").unwrap_or_else(|| "none".to_string());
+    let algo = query_param(query, "algo").ok_or("missing `algo` parameter")?;
     let replicate: usize = match query_param(query, "replicate") {
         None => 0,
         Some(r) => r
             .parse()
             .map_err(|_| "`replicate` must be a non-negative integer".to_string())?,
     };
-    let scenario =
-        fx_core::Scenario::from_spec(&scenario_spec).map_err(|e| format!("scenario: {e}"))?;
-    let fault = crate::spec::FaultSpec::parse(&fault_spec).map_err(|e| format!("fault: {e}"))?;
-    let algo = Algo::parse(&algo_name)?;
+    resolve_cell(
+        &shared.spec,
+        &shared.known,
+        &scenario,
+        &fault,
+        &algo,
+        replicate,
+    )
+}
+
+/// Resolves a cell query (`GET /v1/cell` and `fxnet cell`): canonical
+/// scenario spelling, parsed fault + algorithm, validity-checked
+/// against the `accepts` matrix. Queries naming a cell of the spec's
+/// own grid (`known`, from [`index_cells`]) reuse that expanded cell
+/// (its grid overrides and seed); ad-hoc cells run under the first
+/// grid's effective params with an identity-derived seed, just like a
+/// campaign would derive it.
+pub fn resolve_cell(
+    spec: &CampaignSpec,
+    known: &HashMap<String, Cell>,
+    scenario: &str,
+    fault: &str,
+    algo: &str,
+    replicate: usize,
+) -> Result<Cell, String> {
+    let scenario = fx_core::Scenario::from_spec(scenario).map_err(|e| format!("scenario: {e}"))?;
+    let fault = crate::spec::FaultSpec::parse(fault).map_err(|e| format!("fault: {e}"))?;
+    let algo = Algo::parse(algo)?;
     algo.accepts(&fault, &scenario)?;
     let canonical = scenario.to_string();
     let key = format!("{canonical}|{fault}|{algo}|r{replicate}");
-    if let Some(cell) = shared.known.get(&key) {
+    if let Some(cell) = known.get(&key) {
         return Ok(cell.clone());
     }
     let mut cell = Cell {
@@ -665,14 +697,14 @@ fn resolve_cell(query: &str, shared: &Shared) -> Result<Cell, String> {
         seed: 0,
         grid: 0,
     };
-    cell.seed = cell_seed(shared.spec.seed, &cell.key());
+    cell.seed = cell_seed(spec.seed, &cell.key());
     Ok(cell)
 }
 
-/// The deterministic response body: cell identity + metrics, no
-/// wall-clock or cache fields — so hot, cold, and chaos-degraded
-/// answers for the same cell are byte-identical.
-fn cell_body(cell: &Cell, result: &CellResult) -> String {
+/// The deterministic `/v1/cell` response body: cell identity +
+/// metrics, no wall-clock or cache fields — so hot, cold, and
+/// chaos-degraded answers for the same cell are byte-identical.
+pub fn cell_body(cell: &Cell, result: &CellResult) -> String {
     use fx_json::Json;
     let canonical = fx_core::Scenario::from_spec(&cell.graph)
         .map(|s| s.to_string())
@@ -696,7 +728,7 @@ fn cell_body(cell: &Cell, result: &CellResult) -> String {
 }
 
 fn cell_response(query: &str, shared: &Shared) -> Response {
-    let cell = match resolve_cell(query, shared) {
+    let cell = match query_cell(query, shared) {
         Ok(cell) => cell,
         Err(e) => return Response::error(400, "Bad Request", &e),
     };
@@ -826,7 +858,7 @@ fn compute_worker(shared: &Shared) {
             }
         };
         shared.stats.inflight.fetch_add(1, Ordering::Relaxed);
-        let result = compute_cell(shared, &job.cell);
+        let result = compute_cell(&shared.spec, &job.cell, &shared.cancel);
         shared.stats.computed.fetch_add(1, Ordering::Relaxed);
         TRACE_COMPUTED.incr();
         // Publish *before* signaling waiters: a waiter that timed out
@@ -841,18 +873,21 @@ fn compute_worker(shared: &Shared) {
     }
 }
 
-/// Runs one cold cell under the server's cancellation regime: the
-/// spec's effective `timeout_ms` if set, else the server-wide token
-/// (so shutdown cancels in-flight work cooperatively). Quarantine
-/// semantics match the engine: a failed or timed-out cell is an
-/// error, never a publishable result.
-fn compute_cell(shared: &Shared, cell: &Cell) -> Result<CellResult, String> {
-    let params = cell_params(&shared.spec, cell);
-    let token = match params.timeout_ms {
+/// Runs one cold cell (a daemon miss, or `fxnet cell`) under the
+/// spec's effective `timeout_ms` if set, else under `cancel` (the
+/// daemon's shutdown token). Quarantine semantics match the engine: a
+/// panicking, failed or timed-out cell is an error, never a
+/// publishable result.
+pub fn compute_cell(
+    spec: &CampaignSpec,
+    cell: &Cell,
+    cancel: &CancelToken,
+) -> Result<CellResult, String> {
+    let token = match cell_params(spec, cell).timeout_ms {
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
-        None => shared.cancel.clone(),
+        None => cancel.clone(),
     };
-    let result = crate::exec::run_cell_isolated(&shared.spec, cell, &token)?;
+    let result = crate::exec::run_cell_isolated(spec, cell, &token)?;
     if result.failed != 0 {
         return Err(result.error);
     }

@@ -60,6 +60,9 @@ pub enum Algo {
     /// §1.2 self-embedding slowdown proxy `ℓ + c + d` of the faulty
     /// (and pruned) network (E15).
     Embed,
+    /// Claim 3.2: exact connected-subgraph counts per size `r` against
+    /// the `n·δ^{2r}` bound (E8).
+    SubgraphCount,
 }
 
 impl Algo {
@@ -78,10 +81,11 @@ impl Algo {
             "routing" => Ok(Algo::Routing),
             "load-balance" => Ok(Algo::LoadBalance),
             "embed" => Ok(Algo::Embed),
+            "subgraph-count" => Ok(Algo::SubgraphCount),
             other => Err(format!(
                 "unknown algorithm {other:?} (try prune | prune2 | percolation | span | \
                  expansion-cert | shatter | dissect | diameter | compact-audit | routing | \
-                 load-balance | embed)"
+                 load-balance | embed | subgraph-count)"
             )),
         }
     }
@@ -128,6 +132,11 @@ impl Algo {
             (Algo::Dissect, other) => Err(format!(
                 "dissect (Theorem 2.5) removes its own separator nodes; drop fault model `{other}`"
             )),
+            (Algo::SubgraphCount, FaultSpec::None) => Ok(()),
+            (Algo::SubgraphCount, other) => Err(format!(
+                "subgraph-count (Claim 3.2) counts subgraphs of the fault-free graph; drop fault \
+                 model `{other}`"
+            )),
             (Algo::CompactAudit, FaultSpec::None) => Ok(()),
             (Algo::CompactAudit, other) => Err(format!(
                 "compact-audit (Lemma 3.3) samples the fault-free graph; drop fault model \
@@ -172,6 +181,7 @@ impl fmt::Display for Algo {
             Algo::Routing => "routing",
             Algo::LoadBalance => "load-balance",
             Algo::Embed => "embed",
+            Algo::SubgraphCount => "subgraph-count",
         };
         f.write_str(s)
     }
@@ -928,6 +938,7 @@ algorithms = ["span"]
             Algo::Routing,
             Algo::LoadBalance,
             Algo::Embed,
+            Algo::SubgraphCount,
         ];
         // fault-kind acceptance per algo on a *subdivided* scenario
         // (where every fault kind is scenario-admissible): indices
@@ -941,7 +952,7 @@ algorithms = ["span"]
                 // clustered (both center models), heavy-tailed —
                 // everything that reads as dilution
                 Algo::Percolation => fi <= 1 || fi >= 6,
-                Algo::Span | Algo::Dissect | Algo::CompactAudit => fi == 0,
+                Algo::Span | Algo::Dissect | Algo::CompactAudit | Algo::SubgraphCount => fi == 0,
                 Algo::Shatter | Algo::Embed => fi != 0,
             }
         };

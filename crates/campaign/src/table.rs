@@ -1,30 +1,19 @@
-//! # fx-bench — experiment harness utilities
-//!
-//! Table rendering and JSON result recording shared by the
-//! `experiments` binary (which regenerates every table/figure-level
-//! claim of the paper) and the criterion benches.
+//! The printed tables and the `aggregates.csv` artifact of a campaign.
 
-#![warn(missing_docs)]
-
-use fx_core::ExperimentRow;
 use std::io::Write;
 
-/// A printable experiment table.
+/// A printable table: a title line, column headers and rows of cells.
 #[derive(Debug, Clone)]
-pub struct Table {
-    /// Experiment id, e.g. "E1".
-    pub id: String,
-    /// Human title.
-    pub title: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Rows of cells (first cell is the row label).
-    pub rows: Vec<Vec<String>>,
+pub(crate) struct Table {
+    id: String,
+    title: String,
+    headers: Vec<String>,
+    rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(id: &str, title: &str, headers: &[&str]) -> Self {
+    pub(crate) fn new(id: &str, title: &str, headers: &[&str]) -> Self {
         Table {
             id: id.to_string(),
             title: title.to_string(),
@@ -34,14 +23,14 @@ impl Table {
     }
 
     /// Appends a row.
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
         self
     }
 
     /// Renders with aligned columns to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -65,40 +54,6 @@ impl Table {
             let _ = writeln!(out, "{line}");
         }
     }
-
-    /// Converts rows into generic [`ExperimentRow`]s (numeric cells
-    /// parsed where possible).
-    pub fn to_rows(&self) -> Vec<ExperimentRow> {
-        self.rows
-            .iter()
-            .map(|r| ExperimentRow {
-                experiment: self.id.clone(),
-                label: r.first().cloned().unwrap_or_default(),
-                values: self
-                    .headers
-                    .iter()
-                    .zip(r.iter())
-                    .skip(1)
-                    .filter_map(|(h, c)| c.parse::<f64>().ok().map(|v| (h.clone(), v)))
-                    .collect(),
-            })
-            .collect()
-    }
-}
-
-/// Writes experiment rows as JSON to `results/<id>.json` (best
-/// effort; failures are reported, not fatal — the printed table is the
-/// primary artifact).
-pub fn record(table: &Table) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{}.json", table.id.to_lowercase()));
-    let js = fx_json::to_string_pretty(&table.to_rows());
-    if let Err(e) = std::fs::write(&path, js) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }
 
 /// Escapes one CSV cell per RFC 4180 (quote when the cell contains a
@@ -112,7 +67,7 @@ fn csv_cell(cell: &str) -> String {
 }
 
 /// Renders the table as an RFC 4180 CSV document (header + rows).
-pub fn to_csv(table: &Table) -> String {
+fn to_csv(table: &Table) -> String {
     let mut out = String::new();
     let header: Vec<String> = table.headers.iter().map(|h| csv_cell(h)).collect();
     out.push_str(&header.join(","));
@@ -126,7 +81,7 @@ pub fn to_csv(table: &Table) -> String {
 }
 
 /// Writes the table as CSV to `path`, creating parent directories.
-pub fn write_csv(table: &Table, path: &std::path::Path) -> std::io::Result<()> {
+pub(crate) fn write_csv(table: &Table, path: &std::path::Path) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
@@ -134,7 +89,7 @@ pub fn write_csv(table: &Table, path: &std::path::Path) -> std::io::Result<()> {
 }
 
 /// Formats a float compactly for table cells.
-pub fn f(x: f64) -> String {
+pub(crate) fn f(x: f64) -> String {
     if x == 0.0 {
         "0".into()
     } else if x.abs() >= 1000.0 || x.abs() < 0.001 {
@@ -147,17 +102,6 @@ pub fn f(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_roundtrip() {
-        let mut t = Table::new("EX", "demo", &["label", "x", "y"]);
-        t.row(vec!["a".into(), "1.5".into(), "2".into()]);
-        let rows = t.to_rows();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].label, "a");
-        assert_eq!(rows[0].values.len(), 2);
-        assert_eq!(rows[0].values[0], ("x".to_string(), 1.5));
-    }
 
     #[test]
     fn float_formatting() {

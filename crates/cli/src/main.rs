@@ -1,10 +1,13 @@
 //! `fxnet` — the fault-expansion toolkit on the command line.
 //!
+//! The analyses run as campaign cells: `campaign` runs a spec's grid,
+//! `serve` answers cell queries over HTTP, and `cell` runs one cell and
+//! prints the body `GET /v1/cell` returns for it. `theory` prints the
+//! paper's closed-form bounds for one network.
+//!
 //! ```sh
-//! fxnet expansion --graph torus:16,16
-//! fxnet prune     --graph hypercube:10 --adversary sparse-cut --faults 20
-//! fxnet percolate --graph torus:32,32 --mode site --trials 16
-//! fxnet span      --graph mesh:4,4
+//! fxnet cell      --spec specs/quick.toml --scenario torus:8,8 --algo prune
+//! fxnet cell      --spec specs/quick.toml --scenario mesh:4,4 --algo span
 //! fxnet theory    --graph torus:16,16 --sigma 2
 //! fxnet campaign  run --spec specs/random_faults.toml --threads 8
 //! fxnet campaign  resume --spec specs/random_faults.toml
@@ -16,14 +19,10 @@
 mod args;
 
 use args::{parse_graph_spec, parse_shard, Args};
-use fx_campaign::{CampaignSpec, RunOptions};
-use fx_core::{analyze_adversarial, theory_table, AnalyzerConfig, Network};
-use fx_expansion::certificate::{
-    edge_expansion_bounds, node_expansion_bounds, Effort, ExpansionBounds,
-};
-use fx_faults::{DegreeAdversary, ExactRandomFaults, FaultModel, FaultSpec, SparseCutAdversary};
-use fx_percolation::{estimate_critical, Mode, MonteCarlo};
-use fx_span::span::{exact_span, sampled_span};
+use fx_campaign::{CampaignSpec, FaultSpec, RunOptions};
+use fx_core::{theory_table, Network};
+use fx_expansion::certificate::{node_expansion_bounds, Effort};
+use fx_graph::par::CancelToken;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -40,13 +39,12 @@ macro_rules! outln {
 const USAGE: &str = "fxnet <command> [options]
 
 commands:
-  expansion  --graph SPEC [--seed N]            two-sided α / αe certificates
-  prune      --graph SPEC --faults N
-             [--adversary sparse-cut|degree|random] [--k K]  Theorem 2.1 pipeline
-             [--fault FAULTSPEC]  (any registry model, e.g. targeted:0.1,by=core)
-  percolate  --graph SPEC [--mode site|bond] [--trials N] [--gamma T]
-                                                critical probability estimate
-  span       --graph SPEC [--samples N]         span (exact ≤ 20 nodes, else sampled)
+  cell       --spec FILE --scenario S [--fault F] --algo A [--replicate N]
+                                                run one cell under the spec's
+                                                [params] and print the body
+                                                GET /v1/cell returns for it
+                                                (byte for byte; the store is
+                                                not consulted)
   theory     --graph SPEC [--sigma S]           the paper's bounds for this network
   campaign   run|resume --spec FILE [--threads N] [--limit N] [--out DIR]
                         [--shard I/M] [--quiet] [--timing] [--strict] [--health]
@@ -155,14 +153,27 @@ fn build_network(args: &Args) -> Result<(Network, u64), String> {
     Ok((scenario.build(seed).net, seed))
 }
 
-/// `--threads N`, defaulting to `FXNET_THREADS` / available cores —
-/// one resolved count routed into every analysis the command runs.
-fn threads_option(args: &Args) -> Result<usize, String> {
-    let requested: usize = args.get_parsed("threads", 0)?;
-    if args.get("threads").is_some() && requested == 0 {
-        return Err("--threads must be ≥ 1".into());
-    }
-    Ok(fx_graph::par::resolve_threads(requested))
+/// `fxnet cell`: resolves and runs one cell the way a `GET /v1/cell`
+/// miss does, and prints the response body without a trailing newline.
+fn run_one_cell(args: &Args) -> Result<(), String> {
+    let spec_path = args.get("spec").ok_or("missing --spec FILE")?;
+    let spec = CampaignSpec::load(std::path::Path::new(spec_path))?;
+    let cell = fx_campaign::resolve_cell(
+        &spec,
+        &fx_campaign::index_cells(&spec)?,
+        args.get("scenario").ok_or("missing --scenario S")?,
+        args.get("fault").unwrap_or("none"),
+        args.get("algo").ok_or("missing --algo A")?,
+        args.get_parsed("replicate", 0)?,
+    )?;
+    let result = fx_campaign::compute_cell(&spec, &cell, &CancelToken::new())?;
+    use std::io::Write as _;
+    let _ = write!(
+        std::io::stdout(),
+        "{}",
+        fx_campaign::cell_body(&cell, &result)
+    );
+    Ok(())
 }
 
 fn merge_campaign_journals(args: &Args) -> Result<(), String> {
@@ -310,7 +321,7 @@ fn run_campaign(args: &Args) -> Result<(), String> {
         other => return Err(format!("unknown campaign action: {other}")),
     };
     // `let _ =`: tolerate a closed stdout (e.g. piping into `head`)
-    // like Table::print does, instead of panicking on SIGPIPE.
+    // like `outln!`, instead of panicking on SIGPIPE.
     use std::io::Write;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -378,28 +389,6 @@ fn run_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn show_bounds(label: &str, b: &ExpansionBounds) {
-    let upper = if b.upper.is_finite() {
-        format!("{:.6}", b.upper)
-    } else {
-        "∞".into()
-    };
-    outln!(
-        "{label}: [{:.6}, {upper}]{}{}",
-        b.lower,
-        if b.exact { " (exact)" } else { "" },
-        b.witness
-            .as_ref()
-            .map(|w| format!(
-                "  witness: |S|={}, |Γ(S)|={}, cut={}",
-                w.size(),
-                w.node_boundary,
-                w.edge_cut
-            ))
-            .unwrap_or_default()
-    );
-}
-
 fn run(args: &Args) -> Result<(), String> {
     // only `campaign` takes a trailing action word; a stray positional
     // anywhere else is a mistyped invocation, not something to ignore
@@ -410,124 +399,7 @@ fn run(args: &Args) -> Result<(), String> {
     }
     match args.command.as_deref() {
         Some("serve") => run_serve(args),
-        Some("expansion") => {
-            let (net, seed) = build_network(args)?;
-            let mut rng = SmallRng::seed_from_u64(seed);
-            outln!(
-                "{}: n={}, m={}, δ={}",
-                net.name,
-                net.n(),
-                net.graph.num_edges(),
-                net.max_degree()
-            );
-            let full = net.full_mask();
-            let a = node_expansion_bounds(&net.graph, &full, Effort::Auto, &mut rng);
-            let ae = edge_expansion_bounds(&net.graph, &full, Effort::Auto, &mut rng);
-            show_bounds("node expansion α ", &a);
-            show_bounds("edge expansion αe", &ae);
-            Ok(())
-        }
-        Some("prune") => {
-            let (net, _) = build_network(args)?;
-            let faults: usize = args.get_parsed("faults", net.n() / 50)?;
-            let k: f64 = args.get_parsed("k", 2.0)?;
-            let model: Box<dyn FaultModel> = if let Some(fault_spec) = args.get("fault") {
-                // the full registry grammar (chain-centers excluded:
-                // the CLI builds plain networks without subdivision
-                // bookkeeping)
-                FaultSpec::parse(fault_spec)?.build(None)?
-            } else {
-                let adversary = args.get("adversary").unwrap_or("sparse-cut");
-                match adversary {
-                    "sparse-cut" => Box::new(SparseCutAdversary { budget: faults }),
-                    "degree" => Box::new(DegreeAdversary { budget: faults }),
-                    "random" => Box::new(ExactRandomFaults { f: faults }),
-                    other => return Err(format!("unknown adversary: {other}")),
-                }
-            };
-            let config = AnalyzerConfig {
-                threads: threads_option(args)?,
-                ..AnalyzerConfig::default()
-            };
-            let r = analyze_adversarial(&net, model.as_ref(), k, &config);
-            outln!("{}: {} faults by {}", r.network, r.faults, r.adversary);
-            outln!("γ after faults: {:.4}", r.gamma_after_faults);
-            outln!(
-                "Prune(ε={:.3}): kept {}/{} (culled {}), certified: {}",
-                r.epsilon,
-                r.kept,
-                r.n,
-                r.culled,
-                r.certified
-            );
-            outln!(
-                "α(H) ∈ [{:.4}, {}]",
-                r.alpha_after.lower,
-                r.alpha_after
-                    .upper
-                    .map_or("∞".into(), |u| format!("{u:.4}"))
-            );
-            match (r.guaranteed_min_kept, r.guaranteed_min_expansion) {
-                (Some(s), Some(e)) => {
-                    outln!("Theorem 2.1 guarantees: |H| ≥ {s:.1}, α(H) ≥ {e:.4}")
-                }
-                _ => outln!("Theorem 2.1 preconditions not met (k·f/α > n/4)"),
-            }
-            Ok(())
-        }
-        Some("percolate") => {
-            let (net, seed) = build_network(args)?;
-            let mode = match args.get("mode").unwrap_or("site") {
-                "site" => Mode::Site,
-                "bond" => Mode::Bond,
-                other => return Err(format!("unknown mode: {other}")),
-            };
-            let trials: usize = args.get_parsed("trials", 16)?;
-            let gamma: f64 = args.get_parsed("gamma", 0.1)?;
-            let mc = MonteCarlo {
-                trials,
-                threads: threads_option(args)?,
-                base_seed: seed,
-            };
-            let est = estimate_critical(&net.graph, mode, &mc, gamma, 50);
-            outln!(
-                "{}: critical survival probability p* ≈ {:.4} (γ threshold {}, {} trials)",
-                net.name,
-                est.p_star,
-                gamma,
-                trials
-            );
-            outln!("fault tolerance 1 − p* ≈ {:.4}", 1.0 - est.p_star);
-            Ok(())
-        }
-        Some("span") => {
-            let (net, seed) = build_network(args)?;
-            if net.n() <= 20 {
-                let est = exact_span(&net.graph, 50_000_000);
-                outln!(
-                    "{}: span = {:.4} ({} compact sets{})",
-                    net.name,
-                    est.max_ratio,
-                    est.sets_examined,
-                    if est.exhaustive {
-                        ", exhaustive"
-                    } else {
-                        ", capped"
-                    }
-                );
-            } else {
-                let samples: usize = args.get_parsed("samples", 200)?;
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let est = sampled_span(&net.graph, samples, net.n() / 4, &mut rng);
-                outln!(
-                    "{}: span ≥ {:.4} (sampled over {} compact sets)",
-                    net.name,
-                    est.max_ratio,
-                    est.sets_examined
-                );
-            }
-            Ok(())
-        }
+        Some("cell") => run_one_cell(args),
         Some("theory") => {
             let (net, seed) = build_network(args)?;
             let sigma: f64 = args.get_parsed("sigma", 2.0)?;

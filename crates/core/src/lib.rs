@@ -34,6 +34,6 @@ pub use diffusion::{diffuse, point_load, random_load, DiffusionOutcome};
 pub use embedding::{embed_nearest, EmbeddingQuality};
 pub use families::{subdivided_expander, Family};
 pub use network::{Network, NetworkSummary};
-pub use report::{AdversarialReport, BoundsSummary, ExperimentRow, RandomFaultReport};
+pub use report::{AdversarialReport, BoundsSummary, RandomFaultReport};
 pub use scenario::{BuiltScenario, OverlayInfo, Scenario, ScenarioKind};
 pub use theory::{theory_table, TheoryTable, MESH_SPAN};

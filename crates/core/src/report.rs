@@ -1,5 +1,4 @@
-//! Serializable report types: what the analyses hand back and what the
-//! experiment harness records to JSON.
+//! Serializable report types: what the analyses hand back.
 
 use fx_expansion::ExpansionBounds;
 
@@ -133,24 +132,6 @@ fx_json::impl_json_object!(RandomFaultReport {
     mean_alpha_e_after,
     theorem34_max_p,
     theorem34_applicable
-});
-
-/// One row of an experiment table (generic container the harness
-/// writes to JSON).
-#[derive(Debug, Clone)]
-pub struct ExperimentRow {
-    /// Experiment id (e.g. "E1").
-    pub experiment: String,
-    /// Row label (workload / parameter point).
-    pub label: String,
-    /// Named measured values.
-    pub values: Vec<(String, f64)>,
-}
-
-fx_json::impl_json_object!(ExperimentRow {
-    experiment,
-    label,
-    values
 });
 
 #[cfg(test)]

@@ -1,7 +1,5 @@
 //! One-stop theory table: every quantitative statement of the paper,
-//! evaluated for a concrete network. The experiment harness prints
-//! these beside measured values; the `--check` mode asserts the
-//! measured side lands on the predicted side.
+//! evaluated for a concrete network (`fxnet theory` prints it).
 
 /// The paper's predictions instantiated for one network.
 #[derive(Debug, Clone)]

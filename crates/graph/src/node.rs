@@ -2,9 +2,8 @@
 //!
 //! Nodes are dense `u32` indices in `0..n`. Using `u32` rather than
 //! `usize` halves the memory footprint of adjacency arrays and node
-//! queues, which matters for the multi-million-node percolation sweeps
-//! in the experiment harness (see the Rust perf-book guidance on
-//! smaller integer types).
+//! queues, which matters for multi-million-node percolation sweeps
+//! (see the Rust perf-book guidance on smaller integer types).
 
 /// Dense node identifier. Valid ids are `0..graph.num_nodes()`.
 pub type NodeId = u32;

@@ -8,9 +8,9 @@
 //! for plain structs and enums-with-struct-variants in the same
 //! externally-tagged shape serde would produce.
 //!
-//! The campaign engine's JSONL journal, the experiment harness's
-//! `results/*.json` artifacts, and the report types in `fx-core` all
-//! serialize through this crate.
+//! The campaign engine's JSONL journal and `aggregates.json`, the
+//! bench ledger, and the report types in `fx-core` all serialize
+//! through this crate.
 //!
 //! ```ignore
 //! use fx_json::{FromJson, Json, ToJson};

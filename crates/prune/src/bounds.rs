@@ -1,6 +1,6 @@
 //! Closed-form bound calculators for the paper's remaining
-//! quantitative statements (Theorems 2.3, 2.5, 3.1; Claims 2.4, 3.2).
-//! The experiment harness prints these next to measured values.
+//! quantitative statements (Theorems 2.3, 2.5, 3.1; Claim 2.4). The
+//! Claim 3.2 subgraph-count bound lives in `fx_span::count`.
 
 /// Claim 2.4: the subdivided expander `H_k` has expansion `Θ(1/k)` —
 /// this is the proof's *upper* bound `α(U') ≤ 2/k` realized by
@@ -44,13 +44,6 @@ pub fn theorem31_fault_probability(delta: usize, k: usize) -> f64 {
     4.0 * (delta as f64).ln() / k as f64
 }
 
-/// Claim 3.2: upper bound `n·δ^{2r}` on the number of connected
-/// subgraphs with `r` designated vertices (Euler-tour encoding).
-/// Saturates at `f64::INFINITY` for large arguments.
-pub fn claim32_bound(n: usize, delta: usize, r: usize) -> f64 {
-    n as f64 * (delta as f64).powi(2 * r as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,7 +55,6 @@ mod tests {
             theorem25_removal_bound(1000, 0.1, 0.25) < theorem25_removal_bound(1000, 0.1, 0.125)
         );
         assert!(theorem31_fault_probability(4, 4) > theorem31_fault_probability(4, 8));
-        assert!(claim32_bound(10, 3, 2) > claim32_bound(10, 3, 1));
     }
 
     #[test]
@@ -70,7 +62,6 @@ mod tests {
         assert_eq!(theorem23_fault_budget(100, 4), 200);
         assert_eq!(theorem23_component_bound(4, 8), 1 + 4 * 5);
         assert!((claim24_expansion_upper(8) - 0.25).abs() < 1e-15);
-        assert!((claim32_bound(5, 2, 3) - 5.0 * 64.0).abs() < 1e-9);
         let p = theorem31_fault_probability(4, 8);
         assert!((p - 4.0 * 4f64.ln() / 8.0).abs() < 1e-12);
     }

@@ -3,7 +3,8 @@
 //! > The number of connected subgraphs with `r` vertices is at most
 //! > `n·δ^{2r}` (Euler-tour encoding of a spanning tree).
 //!
-//! Experiment E8 compares exact counts against this bound.
+//! The campaign algorithm `subgraph-count` (experiment E8) compares
+//! exact counts against this bound.
 
 use crate::compact_sets::for_each_connected_subset;
 use fx_graph::CsrGraph;
@@ -68,6 +69,12 @@ mod tests {
         for r in 1..=4usize {
             assert!((c[r] as f64) <= claim32_bound(10, 2, r));
         }
+    }
+
+    #[test]
+    fn claim32_bound_values() {
+        assert!((claim32_bound(5, 2, 3) - 5.0 * 64.0).abs() < 1e-9);
+        assert!(claim32_bound(10, 3, 2) > claim32_bound(10, 3, 1));
     }
 
     #[test]

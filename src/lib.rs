@@ -97,7 +97,7 @@
 //!   `chain-centers[:f]`), `algorithms` (`prune`, `prune2`,
 //!   `percolation`, `span`, `expansion-cert`, `shatter`, `dissect`,
 //!   `diameter`, `compact-audit`, `routing`, `load-balance`,
-//!   `embed`), and `replicates`; experiments whose sub-grids are not
+//!   `embed`, `subgraph-count`), and `replicates`; experiments whose sub-grids are not
 //!   one cross product declare several `[grid-…]` tables;
 //! * **execution** — `seed` (master seed; each cell derives a
 //!   deterministic seed from its identity), `output` (artifact

@@ -302,6 +302,9 @@ fn bundled_specs_parse_and_expand() {
         ("specs/emulation.toml", 3),
         ("specs/overlay_churn.toml", 2),
         ("specs/targeted_faults.toml", 4),
+        ("specs/critical_site.toml", 1),
+        ("specs/critical_bond.toml", 1),
+        ("specs/counting.toml", 1),
     ] {
         let spec = CampaignSpec::load(std::path::Path::new(path)).unwrap();
         assert_eq!(spec.grids.len(), expected_grids, "{path}");
@@ -313,30 +316,41 @@ fn bundled_specs_parse_and_expand() {
     }
 }
 
-/// E1–E15 coverage audit: the bundled specs collectively cover every
-/// experiment the former ad-hoc binaries implemented (E4–E9 and E16
-/// were ported in an earlier change; E1–E3 and E10–E15 here).
+/// E1–E16 coverage audit: the bundled specs collectively cover every
+/// experiment of the paper reproduction — E1–E3 and E10–E15 as ported
+/// from the former ad-hoc binaries, E5/E6/E9/E16 in `random_faults` and
+/// `span`, and E4/E7/E8 in the `critical_*` and `counting` specs.
 #[test]
 fn bundled_specs_cover_all_ported_experiments() {
-    use fault_expansion::campaign::Algo;
-    let mut covered: Vec<(String, String)> = Vec::new();
+    use fault_expansion::campaign::{Algo, FaultSpec};
+    // (scenario, fault, algorithm, site mode) per cell
+    let mut covered: Vec<(String, FaultSpec, Algo, bool)> = Vec::new();
     for path in [
         "specs/adversarial.toml",
         "specs/structure.toml",
         "specs/emulation.toml",
         "specs/overlay_churn.toml",
+        "specs/random_faults.toml",
+        "specs/span.toml",
+        "specs/critical_site.toml",
+        "specs/critical_bond.toml",
+        "specs/counting.toml",
     ] {
         let spec = CampaignSpec::load(std::path::Path::new(path)).unwrap();
         for cell in expand(&spec).unwrap() {
-            covered.push((cell.graph.clone(), cell.algo.to_string()));
+            covered.push((cell.graph, cell.fault, cell.algo, spec.params.site_mode));
         }
     }
-    let has_algo = |a: Algo| covered.iter().any(|(_, algo)| *algo == a.to_string());
-    // E1 prune · E2 shatter-on-subdivided · E3 dissect · E10 diameter
-    // · E11 compact-audit · E12 routing · E13 load-balance ·
+    let has_algo = |a: Algo| covered.iter().any(|(_, _, algo, _)| *algo == a);
+    // E1 prune · E2 shatter-on-subdivided · E3 dissect · E5 prune2 ·
+    // E6/E9/E16 span · E8 subgraph-count · E10 diameter ·
+    // E11 compact-audit · E12 routing · E13 load-balance ·
     // E14 overlay expansion/percolation · E15 embed
     for algo in [
         Algo::Prune,
+        Algo::Prune2,
+        Algo::Span,
+        Algo::SubgraphCount,
         Algo::Shatter,
         Algo::Dissect,
         Algo::Diameter,
@@ -352,11 +366,25 @@ fn bundled_specs_cover_all_ported_experiments() {
     assert!(
         covered
             .iter()
-            .any(|(g, a)| g.starts_with("subdivided:") && a == "shatter"),
+            .any(|(g, f, a, _)| g.starts_with("subdivided:")
+                && *f == FaultSpec::None
+                && *a == Algo::Percolation),
+        "E4 needs fault-free percolation (p*) on subdivided scenarios"
+    );
+    assert!(
+        covered
+            .iter()
+            .any(|(_, f, a, site)| *f == FaultSpec::None && *a == Algo::Percolation && !site),
+        "E7 needs a mode = \"bond\" spec estimating p*"
+    );
+    assert!(
+        covered
+            .iter()
+            .any(|(g, _, a, _)| g.starts_with("subdivided:") && *a == Algo::Shatter),
         "E2 needs shatter on a subdivided scenario"
     );
     assert!(
-        covered.iter().any(|(g, _)| g.starts_with("overlay:")),
+        covered.iter().any(|(g, _, _, _)| g.starts_with("overlay:")),
         "E14 needs overlay scenarios"
     );
 }

@@ -1,9 +1,35 @@
 //! Cross-crate integration: the §3 random-fault pipeline (percolation
 //! + Prune2 + span predictions).
 
+use fault_expansion::campaign::{expand, run_cell, Algo, Cell, CellResult, FaultSpec};
 use fault_expansion::prelude::*;
+use fault_expansion::prune::theorem34_max_p;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// Runs the cells of a bundled spec whose scenario `keep` accepts.
+fn run_spec_cells(path: &str, keep: impl Fn(&Cell) -> bool) -> Vec<(Cell, CellResult)> {
+    let spec = CampaignSpec::load(std::path::Path::new(path)).unwrap();
+    let cells: Vec<(Cell, CellResult)> = expand(&spec)
+        .unwrap()
+        .into_iter()
+        .filter(|cell| keep(cell))
+        .map(|cell| {
+            let result = run_cell(&spec, &cell);
+            (cell, result)
+        })
+        .collect();
+    assert!(!cells.is_empty(), "{path}: no cell selected");
+    cells
+}
+
+fn metric(cells: &[(Cell, CellResult)], graph: &str, replicate: usize, name: &str) -> f64 {
+    cells
+        .iter()
+        .find(|(c, _)| c.graph == graph && c.replicate == replicate)
+        .and_then(|(_, r)| r.metric(name))
+        .unwrap_or_else(|| panic!("{graph} r{replicate}: no {name}"))
+}
 
 /// The central §3 contrast (Theorem 3.1 vs Theorem 3.4/3.6): a torus
 /// and a subdivided expander with comparable expansion behave
@@ -131,4 +157,92 @@ fn hypercube_edge_faults_giant_component() {
     let kept = fault_expansion::faults::random_edge_faults(&g, 0.7, &mut rng);
     let gamma = fault_expansion::percolation::gamma_bond(&kept);
     assert!(gamma > 0.8, "Q_9 at keep 0.7: γ = {gamma}");
+}
+
+/// E4 — Theorem 3.1 on `specs/critical_site.toml`: in every replicate
+/// the subdivided expander's fault tolerance 1 − p* times k stays
+/// within a factor 3 over k = 4, 8, 16 (tolerance Θ(1/k)), while the
+/// torus, whose expansion is worse, tolerates a constant rate.
+#[test]
+fn critical_site_spec_tolerance_scales_as_one_over_k() {
+    let cells = run_spec_cells("specs/critical_site.toml", |c| {
+        c.graph.starts_with("subdivided:") || c.graph.starts_with("torus:")
+    });
+    let replicates = cells.iter().map(|(c, _)| c.replicate + 1).max().unwrap();
+    for replicate in 0..replicates {
+        let scaled: Vec<f64> = [4usize, 8, 16]
+            .iter()
+            .map(|&k| {
+                let graph = format!("subdivided:150,4,{k}");
+                k as f64 * metric(&cells, &graph, replicate, "tolerance")
+            })
+            .collect();
+        let lo = scaled.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = scaled.iter().copied().fold(0.0, f64::max);
+        assert!(
+            hi / lo.max(1e-9) < 3.0,
+            "r{replicate}: k·tolerance not ~constant: {scaled:?}"
+        );
+        let torus = metric(&cells, "torus:48,48", replicate, "tolerance");
+        assert!(torus > 0.25, "r{replicate}: torus tolerance {torus}");
+    }
+}
+
+/// E5 — Theorem 3.4 on `specs/random_faults.toml`: at every fault
+/// rate within the theorem's bound, `Prune2` succeeds (|H| ≥ n/2 with
+/// positive expansion) in at least 99% of the replicates.
+#[test]
+fn random_faults_spec_prune2_succeeds_within_theorem34_bound() {
+    let spec = CampaignSpec::load(std::path::Path::new("specs/random_faults.toml")).unwrap();
+    let within_bound = |cell: &Cell| {
+        let (Algo::Prune2, FaultSpec::Random { p }) = (cell.algo, &cell.fault) else {
+            return false;
+        };
+        let delta = Scenario::from_spec(&cell.graph)
+            .unwrap()
+            .build(0)
+            .net
+            .max_degree();
+        *p <= theorem34_max_p(delta, spec.params.sigma)
+    };
+    let cells = run_spec_cells("specs/random_faults.toml", within_bound);
+    let mut graphs: Vec<&str> = cells.iter().map(|(c, _)| c.graph.as_str()).collect();
+    graphs.dedup();
+    for graph in graphs {
+        let runs: Vec<f64> = cells
+            .iter()
+            .filter(|(c, _)| c.graph == graph)
+            .map(|(_, r)| r.metric("success").unwrap())
+            .collect();
+        let rate = runs.iter().sum::<f64>() / runs.len() as f64;
+        assert!(
+            rate >= 0.99,
+            "{graph}: success rate {rate} at p ≤ Thm 3.4 bound"
+        );
+    }
+}
+
+/// E7 — the §1.1 survey on `specs/critical_bond.toml` and
+/// `specs/critical_site.toml`: every replicate's p* is within a factor
+/// 2.5 or ±0.15 of the published critical probability.
+#[test]
+fn critical_specs_match_published_thresholds() {
+    for (path, graph, published) in [
+        ("specs/critical_bond.toml", "complete:200", 1.0 / 199.0),
+        ("specs/critical_bond.toml", "random-regular:1000,4", 0.25),
+        ("specs/critical_bond.toml", "torus:48,48", 0.5),
+        ("specs/critical_bond.toml", "hypercube:10", 0.1),
+        // Karlin–Nelson–Tamaki: in (0.337, 0.436); the midpoint
+        ("specs/critical_site.toml", "butterfly:8", 0.3865),
+    ] {
+        for (cell, result) in run_spec_cells(path, |c| c.graph == graph) {
+            let p_star = result.metric("p_star").unwrap();
+            let ratio_ok = p_star / published < 2.5 && published / p_star.max(1e-9) < 2.5;
+            assert!(
+                (p_star - published).abs() < 0.15 || ratio_ok,
+                "{path} {}: p* {p_star} too far from published {published}",
+                cell.key()
+            );
+        }
+    }
 }
