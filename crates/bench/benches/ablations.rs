@@ -1,6 +1,6 @@
-//! Bench: ablation A1 — the cut-finder hierarchy: this bench isolates
-//! the *cost* of each oracle answer on identical inputs, plus the
-//! end-to-end analyzer.
+//! Bench: the cut oracle — the cost of one answer from each strategy
+//! (spectral + FM refinement on a 576-node torus, exact enumeration on
+//! small cycles), plus the end-to-end analyzer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fx_core::{analyze_adversarial, AnalyzerConfig, Family};
@@ -15,19 +15,19 @@ fn bench_cut_oracles(c: &mut Criterion) {
     group.sample_size(10);
     let g = fx_graph::generators::torus(&[24, 24]);
     let alive = NodeSet::full(576);
-    for (name, strat) in [
-        ("spectral", CutStrategy::Spectral),
-        ("spectral+fm", CutStrategy::SpectralRefined),
-        ("greedy_ball_32", CutStrategy::GreedyBall { tries: 32 }),
-        ("greedy_ball_128", CutStrategy::GreedyBall { tries: 128 }),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut rng = SmallRng::seed_from_u64(1);
-                find_thin_cut(&g, &alive, CutObjective::Node, 0.2, strat, &mut rng)
-            })
-        });
-    }
+    group.bench_function("spectral+fm", |b| {
+        b.iter(|| {
+            let mut rng = SmallRng::seed_from_u64(1);
+            find_thin_cut(
+                &g,
+                &alive,
+                CutObjective::Node,
+                0.2,
+                CutStrategy::SpectralRefined,
+                &mut rng,
+            )
+        })
+    });
     group.finish();
 
     // exact oracle on its own (only feasible at ≤ 24 nodes)

@@ -1,12 +1,11 @@
-//! Bench: expansion machinery — Lanczos vs power iteration (part of
-//! ablation A1), sweep cuts, and exact enumeration limits.
+//! Bench: expansion machinery — Lanczos vs power iteration, sweep
+//! cuts, and exact enumeration limits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fx_expansion::exact::exact_node_expansion;
 use fx_expansion::lanczos::{lanczos_lambda2, power_lambda2};
 use fx_expansion::matvec::CompactComponent;
 use fx_expansion::sweep::spectral_sweep;
-use fx_expansion::EigenMethod;
 use fx_graph::NodeSet;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -41,7 +40,7 @@ fn bench_sweep(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hypercube", g.num_nodes()), &d, |b, _| {
             b.iter(|| {
                 let mut rng = SmallRng::seed_from_u64(2);
-                spectral_sweep(&g, &alive, EigenMethod::Lanczos, &mut rng)
+                spectral_sweep(&g, &alive, &mut rng)
             })
         });
     }

@@ -1,5 +1,5 @@
 //! Bench: `Prune` (Fig. 1) under adversarial faults — the E1 pipeline
-//! at several scales, plus the oracle-strategy dimension.
+//! at several scales, and on a faulted torus.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fx_faults::{FaultModel, SparseCutAdversary};
@@ -43,18 +43,19 @@ fn bench_prune_strategy(c: &mut Criterion) {
         a.difference_with(&failed);
         a
     };
-    for (name, strat) in [
-        ("spectral", CutStrategy::Spectral),
-        ("spectral+fm", CutStrategy::SpectralRefined),
-        ("greedy-ball", CutStrategy::GreedyBall { tries: 32 }),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut rng = SmallRng::seed_from_u64(4);
-                prune(&g, &alive, 0.25, 0.5, strat, &mut rng)
-            })
-        });
-    }
+    group.bench_function("spectral+fm", |b| {
+        b.iter(|| {
+            let mut rng = SmallRng::seed_from_u64(4);
+            prune(
+                &g,
+                &alive,
+                0.25,
+                0.5,
+                CutStrategy::SpectralRefined,
+                &mut rng,
+            )
+        })
+    });
     group.finish();
 }
 

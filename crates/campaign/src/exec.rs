@@ -31,7 +31,7 @@ use fx_graph::traversal::bfs_ball;
 use fx_graph::{NodeSet, Scratch};
 use fx_percolation::{
     crossing_fraction, estimate_critical_cancelable, gamma_removal_curve, gamma_trials_with,
-    resolve_lanes, trial_seed, LaneScratch, Mode, MonteCarlo, SweepScratch,
+    trial_seed, LaneScratch, Mode, MonteCarlo, SweepScratch, MAX_LANES,
 };
 use fx_prune::bounds::{theorem23_component_bound, theorem25_removal_bound};
 use fx_prune::{compactify, dissect, is_compact, prune, theorem34_max_epsilon, CutStrategy};
@@ -284,34 +284,25 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
         }
         Algo::Percolation => match &cell.fault {
             // multi-trial γ under independent-per-node dilution: the
-            // bit-parallel engine packs `trial_batch` trials per
-            // machine word (`FXNET_MC_LANES` overrides; width 1 =
-            // scalar loop). Both widths consume identical per-trial
-            // RNG streams, so the journaled aggregates are
-            // bit-identical — `trial_batch` is a speed knob, never a
-            // statistics knob.
+            // bit-parallel engine packs 64 trials per machine word.
+            // Every lane width consumes the same per-trial RNG
+            // streams, so the journaled aggregates equal the scalar
+            // loop's bit for bit.
             FaultSpec::Random { .. } | FaultSpec::HeavyTailed { .. } if params.trials > 1 => {
                 let model = fault_model(&cell.fault, &built);
                 debug_assert!(model.vectorizable(), "lane path needs an i.i.d. model");
                 let n = net.n();
                 let mut ls = LaneScratch::new();
                 let mut alive_sum = 0usize;
-                // the batch count is deliberately NOT journaled: the
-                // lane width must never leave a fingerprint in the
-                // aggregates (they are byte-identical at any width);
-                // batch telemetry lives in the fx-trace counters
-                let (gammas, _lane_batches) = gamma_trials_with(
-                    &net.graph,
-                    params.trials,
-                    resolve_lanes(params.trial_batch),
-                    &mut ls,
-                    |i, mask| {
+                // the batch count is deliberately NOT journaled: batch
+                // telemetry lives in the fx-trace counters
+                let (gammas, _lane_batches) =
+                    gamma_trials_with(&net.graph, params.trials, MAX_LANES, &mut ls, |i, mask| {
                         let mut trng = SmallRng::seed_from_u64(trial_seed(cell.seed, i));
                         model.sample_into(&net.graph, &mut trng, mask);
                         mask.complement_in_place();
                         alive_sum += mask.len();
-                    },
-                );
+                    });
                 let t = params.trials as f64;
                 let mean = gammas.iter().sum::<f64>() / t;
                 let var = gammas.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / t;
@@ -650,28 +641,25 @@ fn scenario_metrics(built: &BuiltScenario, params: &Params) -> Vec<(String, f64)
         }
     }
     if let Some(trace) = &built.churn_trace {
-        if params.churn_curves != ChurnCurves::Off {
-            // whole-trace survival curve: one exact connectivity
-            // answer per churn timestep, from the recorded zone
-            // adjacency event log. `dyncon` (the offline segment-tree
-            // pass) and `oracle` (per-snapshot BFS re-sweeps) journal
-            // bit-identical metrics — the oracle arm exists so CI can
-            // cross-validate the fast engine on every spec.
-            let span = Span::enter(Target::Dyncon, "cell.churn_curve");
-            let interval = trace.clone().finalize();
-            let curve = match params.churn_curves {
-                ChurnCurves::Dyncon => solve_curve(&interval),
-                ChurnCurves::Oracle => resweep_curve(&interval, &mut Scratch::new()),
-                ChurnCurves::Off => unreachable!("gated above"),
-            };
-            let cm = curve.survival_metrics();
-            drop(span);
-            m.push(("trace_events".to_string(), interval.events as f64));
-            m.push(("trace_horizon".to_string(), interval.horizon as f64));
-            m.push(("gamma_half_life".to_string(), cm.gamma_half_life));
-            m.push(("min_gamma_t".to_string(), cm.min_gamma_t));
-            m.push(("gamma_auc_t".to_string(), cm.gamma_auc_t));
-        }
+        // whole-trace survival curve: one exact connectivity answer
+        // per churn timestep, from the recorded zone adjacency event
+        // log. `dyncon` (the offline segment-tree pass) and `oracle`
+        // (per-snapshot BFS re-sweeps) journal bit-identical metrics —
+        // the oracle arm exists so the fast engine can be
+        // cross-validated on any spec.
+        let span = Span::enter(Target::Dyncon, "cell.churn_curve");
+        let interval = trace.clone().finalize();
+        let curve = match params.churn_curves {
+            ChurnCurves::Dyncon => solve_curve(&interval),
+            ChurnCurves::Oracle => resweep_curve(&interval, &mut Scratch::new()),
+        };
+        let cm = curve.survival_metrics();
+        drop(span);
+        m.push(("trace_events".to_string(), interval.events as f64));
+        m.push(("trace_horizon".to_string(), interval.horizon as f64));
+        m.push(("gamma_half_life".to_string(), cm.gamma_half_life));
+        m.push(("min_gamma_t".to_string(), cm.min_gamma_t));
+        m.push(("gamma_auc_t".to_string(), cm.gamma_auc_t));
     }
     m
 }
@@ -1274,8 +1262,7 @@ algorithms = ["expansion-cert", "percolation"]
     }
 
     /// The offline dyncon engine and the per-snapshot re-sweep oracle
-    /// must journal bit-identical curve metrics; `off` restores the
-    /// pre-curve journal shape.
+    /// must journal bit-identical metrics.
     #[test]
     fn churn_curve_engines_agree_bit_for_bit() {
         let spec_for = |engine: &str| {
@@ -1303,13 +1290,8 @@ algorithms = ["expansion-cert", "percolation"]
         }
         assert_eq!(d.metric("trace_horizon"), Some(61.0), "ops + 1 query times");
         assert!(d.metric("min_gamma_t").unwrap() <= 1.0);
-        let off = run_cell(&spec_for("off"), cell);
-        assert_eq!(off.metric("gamma_half_life"), None, "off skips the curve");
-        assert_eq!(off.metric("trace_events"), None);
-        // the engine knob never touches non-curve metrics
-        for (k, v) in &off.metrics {
-            assert_eq!(d.metric(k), Some(*v), "{k} engine-independent");
-        }
+        // the engine never touches any other metric either
+        assert_eq!(d.metrics, o.metrics);
     }
 
     /// Small-world scenarios run end to end through the executor.
@@ -1503,36 +1485,25 @@ grid = 20
         assert!(keys.iter().any(|k| k.contains("by=core")));
     }
 
-    /// `trial_batch` is a speed knob only: percolation cells over
-    /// vectorizable models with `trials > 1` journal **bit-identical**
-    /// metrics at width 1 (scalar loop) and width 64 (bit-parallel
-    /// engine). The lane engine's execution is confirmed through the
-    /// fx-trace counters, never through the journal — the width must
-    /// leave no fingerprint in the aggregates.
+    /// Percolation cells over vectorizable models with `trials > 1`
+    /// run on the bit-parallel engine, 64 trials per batch. The
+    /// engine's execution is confirmed through the fx-trace counters,
+    /// never through the journal.
     #[test]
-    fn trial_batch_width_never_changes_metrics() {
-        let mk = |batch: usize| {
-            CampaignSpec::parse(&format!(
-                "name = \"lanes\"\ngraphs = [\"torus:8,8\"]\n\
-                 faults = [\"random:0.3\", \"heavy-tailed:0.3,1.5\"]\n\
-                 algorithms = [\"percolation\"]\n[params]\ntrials = 70\ntrial_batch = {batch}"
-            ))
-            .unwrap()
-        };
-        let (scalar, lanes) = (mk(1), mk(64));
+    fn multi_trial_percolation_cells_run_on_the_lane_engine() {
+        let spec = CampaignSpec::parse(
+            "name = \"lanes\"\ngraphs = [\"torus:8,8\"]\n\
+             faults = [\"random:0.3\", \"heavy-tailed:0.3,1.5\"]\n\
+             algorithms = [\"percolation\"]\n[params]\ntrials = 70",
+        )
+        .unwrap();
         fx_trace::set_filter("percolation=2");
         let _ = fx_trace::take_snapshot(); // drop counts from earlier tests
-        for (a, b) in expand(&scalar)
-            .unwrap()
-            .iter()
-            .zip(expand(&lanes).unwrap().iter())
-        {
-            let ra = run_cell(&scalar, a);
-            let rb = run_cell(&lanes, b);
-            assert_eq!(ra.metric("trials"), Some(70.0));
-            assert!(ra.metric("gamma_std").unwrap() >= 0.0);
-            assert!(ra.metric("alive_fraction").unwrap() < 1.0);
-            assert_eq!(ra.metrics, rb.metrics, "{}", a.key());
+        for cell in expand(&spec).unwrap() {
+            let r = run_cell(&spec, &cell);
+            assert_eq!(r.metric("trials"), Some(70.0));
+            assert!(r.metric("gamma_std").unwrap() >= 0.0);
+            assert!(r.metric("alive_fraction").unwrap() < 1.0);
         }
         let snap = fx_trace::take_snapshot();
         fx_trace::set_filter("off");
@@ -1542,9 +1513,9 @@ grid = 20
                 .find(|c| c.name == name)
                 .map_or(0, |c| c.value)
         };
-        // 2 cells × ⌈70/64⌉ lane batches, 2 cells × 70 scalar trials
+        // 2 cells × ⌈70/64⌉ lane batches, and no scalar trial loop
         assert_eq!(count("mc_lane_batches"), 4, "lane path must have run");
-        assert_eq!(count("mc_scalar_trials"), 140, "scalar path must have run");
+        assert_eq!(count("mc_scalar_trials"), 0);
     }
 
     /// A `fault-sweep` axis expands into per-severity cells that run.

@@ -75,13 +75,13 @@
 //! | `[params] epsilon` | `Prune2` ε | `1/(2δ)` per network |
 //! | `[params] sigma` | assumed span σ | 2.0 |
 //! | `[params] trials` | in-cell Monte-Carlo trials | 1 |
-//! | `[params] samples` | sampled-span samples | 200 |
-//! | `[params] gamma` | `p*` γ threshold | 0.1 |
+//! | `[params] samples` | sampled-span samples (≥ 1) | 200 |
+//! | `[params] gamma` | `p*` γ threshold, in (0, 1) | 0.1 |
 //! | `[params] grid` | `p*` search resolution | 50 |
 //! | `[params] mode` | percolation `site`/`bond` | `site` |
 //! | `[params] timeout_ms` | per-cell wall-clock budget (cells past it are cancelled cooperatively and journaled `timed_out`) | unbounded |
 //! | `[params] retries` | per-cell retry budget: a panicking cell is re-attempted this many times before being quarantined | 2 |
-//! | `[params] churn_curves` | survival-curve engine for churn traces: `dyncon` (offline segment-tree + rollback-union-find solve), `oracle` (per-snapshot re-sweeps, bit-identical metrics), `off` | `dyncon` |
+//! | `[params] churn_curves` | survival-curve engine for churn traces: `dyncon` (offline segment-tree + rollback-union-find solve), `oracle` (per-snapshot re-sweeps, bit-identical metrics) | `dyncon` |
 //! | `[params] store` | content-addressed cell-result store directory (`fx-store`): successful cells are published and later runs with overlapping grids are served from it (journaled `cache_hit = 1`, bit-identical aggregates); `off` disables | `off` |
 //!
 //! ¹ root-level axes may be omitted when at least one `[grid-…]`

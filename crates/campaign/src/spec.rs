@@ -200,8 +200,6 @@ pub enum ChurnCurves {
     /// the BFS component sweep at every timestep — O(T·(V+E)), the
     /// ground truth the dyncon engine is validated against.
     Oracle,
-    /// Skip curve metrics entirely (pre-PR-9 behavior).
-    Off,
 }
 
 impl fmt::Display for ChurnCurves {
@@ -209,7 +207,6 @@ impl fmt::Display for ChurnCurves {
         f.write_str(match self {
             ChurnCurves::Dyncon => "dyncon",
             ChurnCurves::Oracle => "oracle",
-            ChurnCurves::Off => "off",
         })
     }
 }
@@ -237,12 +234,6 @@ pub struct Params {
     pub grid: usize,
     /// Percolation mode: `site` or `bond` (critical estimation only).
     pub site_mode: bool,
-    /// Trials packed per bit-parallel Monte-Carlo batch (1–64).
-    /// Percolation cells whose fault model is vectorizable run
-    /// `trials` in ⌈trials/trial_batch⌉ lane batches; 1 forces the
-    /// scalar path. Aggregates are bit-identical either way — this is
-    /// a speed knob, never a statistics knob.
-    pub trial_batch: usize,
     /// Per-cell wall-clock budget in milliseconds. A cell that
     /// exceeds it is cooperatively cancelled (long kernels poll the
     /// deadline token), journaled with a `timed_out` metric, and the
@@ -256,7 +247,7 @@ pub struct Params {
     /// aggregates, re-executed on resume).
     pub retries: usize,
     /// Survival-curve engine for overlay churn cells (`dyncon` |
-    /// `oracle` | `off`). Both engines journal bit-identical
+    /// `oracle`). Both engines journal bit-identical
     /// `gamma_half_life` / `min_gamma_t` / `gamma_auc_t` metrics —
     /// this is a speed (and cross-validation) knob, never a
     /// statistics knob.
@@ -283,7 +274,6 @@ impl Default for Params {
             gamma: 0.1,
             grid: 50,
             site_mode: true,
-            trial_batch: 64,
             timeout_ms: None,
             retries: 2,
             churn_curves: ChurnCurves::Dyncon,
@@ -493,21 +483,19 @@ impl CampaignSpec {
             params.trials = t.max(1);
         }
         if let Some(s) = pu("samples")? {
-            params.samples = s.max(1);
+            if s == 0 {
+                return Err("params.samples must be ≥ 1".into());
+            }
+            params.samples = s;
         }
         if let Some(g) = pf("gamma")? {
+            if !(g > 0.0 && g < 1.0) {
+                return Err("params.gamma must be in (0, 1)".into());
+            }
             params.gamma = g;
         }
         if let Some(g) = pu("grid")? {
             params.grid = g.max(2);
-        }
-        if let Some(b) = pu("trial_batch")? {
-            if !(1..=64).contains(&b) {
-                return Err(
-                    "params.trial_batch must be in 1..=64 (trials per machine word)".into(),
-                );
-            }
-            params.trial_batch = b;
         }
         if let Some(t) = pu("timeout_ms")? {
             if t == 0 {
@@ -529,12 +517,7 @@ impl CampaignSpec {
             match engine.as_str() {
                 Some("dyncon") => params.churn_curves = ChurnCurves::Dyncon,
                 Some("oracle") => params.churn_curves = ChurnCurves::Oracle,
-                Some("off") => params.churn_curves = ChurnCurves::Off,
-                _ => {
-                    return Err(
-                        "params.churn_curves must be \"dyncon\", \"oracle\", or \"off\"".into(),
-                    )
-                }
+                _ => return Err("params.churn_curves must be \"dyncon\" or \"oracle\"".into()),
             }
         }
         if let Some(value) = doc.get_in("params", "store") {
@@ -557,7 +540,6 @@ impl CampaignSpec {
                 "gamma",
                 "grid",
                 "mode",
-                "trial_batch",
                 "timeout_ms",
                 "retries",
                 "churn_curves",
@@ -992,6 +974,20 @@ algorithms = ["span"]
             "name = \"d\"\ngraphs = [\"cycle:10\"]\nalgorithms = [\"span\"]\n[params]\nzz = 1"
         )
         .is_err());
+        // out-of-range [params] values, and keys the grammar no longer
+        // has, are parse errors that name the key
+        for (bad, key) in [
+            ("gamma = 1.5", "gamma"),
+            ("gamma = 0", "gamma"),
+            ("samples = 0", "samples"),
+            ("trial_batch = 8", "trial_batch"),
+        ] {
+            let err = CampaignSpec::parse(&format!(
+                "name = \"d\"\ngraphs = [\"cycle:10\"]\nalgorithms = [\"span\"]\n[params]\n{bad}"
+            ))
+            .unwrap_err();
+            assert!(err.contains(key), "{bad} → {err}");
+        }
         // malformed derived-scenario strings are rejected at parse
         for bad in ["subdivided:20,4", "subdivided:20,4,0", "overlay:0,64"] {
             let text =
@@ -1013,25 +1009,6 @@ algorithms = ["span"]
     }
 
     #[test]
-    fn trial_batch_parses_and_validates() {
-        let spec = CampaignSpec::parse(
-            "name = \"b\"\ngraphs = [\"cycle:10\"]\nfaults = [\"random:0.1\"]\n\
-             algorithms = [\"percolation\"]\n[params]\ntrial_batch = 8",
-        )
-        .unwrap();
-        assert_eq!(spec.params.trial_batch, 8);
-        assert_eq!(Params::default().trial_batch, 64, "full word by default");
-        for bad in [0, 65, 1000] {
-            let err = CampaignSpec::parse(&format!(
-                "name = \"b\"\ngraphs = [\"cycle:10\"]\nalgorithms = [\"span\"]\n\
-                 [params]\ntrial_batch = {bad}"
-            ))
-            .unwrap_err();
-            assert!(err.contains("trial_batch"), "{err}");
-        }
-    }
-
-    #[test]
     fn churn_curves_parses_and_validates() {
         assert_eq!(
             Params::default().churn_curves,
@@ -1041,7 +1018,6 @@ algorithms = ["span"]
         for (value, expect) in [
             ("dyncon", ChurnCurves::Dyncon),
             ("oracle", ChurnCurves::Oracle),
-            ("off", ChurnCurves::Off),
         ] {
             let spec = CampaignSpec::parse(&format!(
                 "name = \"c\"\ngraphs = [\"overlay:2,32,churn=40\"]\n\
@@ -1050,12 +1026,14 @@ algorithms = ["span"]
             .unwrap();
             assert_eq!(spec.params.churn_curves, expect, "{value}");
         }
-        let err = CampaignSpec::parse(
-            "name = \"c\"\ngraphs = [\"cycle:10\"]\nalgorithms = [\"span\"]\n\
-             [params]\nchurn_curves = \"incremental\"",
-        )
-        .unwrap_err();
-        assert!(err.contains("churn_curves"), "{err}");
+        for bad in ["incremental", "off"] {
+            let err = CampaignSpec::parse(&format!(
+                "name = \"c\"\ngraphs = [\"cycle:10\"]\nalgorithms = [\"span\"]\n\
+                 [params]\nchurn_curves = \"{bad}\""
+            ))
+            .unwrap_err();
+            assert!(err.contains("churn_curves"), "{bad} → {err}");
+        }
     }
 
     #[test]

@@ -20,12 +20,10 @@
 //!   `churn_curves`), with the declaring grid's overrides applied.
 //!
 //! Deliberately **excluded** are the knobs documented as never
-//! changing a bit of output: `trial_batch` (lane packing is
-//! bit-identical at every width, and `FXNET_MC_LANES` can override it
-//! outside the spec anyway), `timeout_ms` and `retries` (operational —
+//! changing a bit of output: `timeout_ms` and `retries` (operational —
 //! a timed-out or quarantined cell is never published), and `store`
 //! itself. Excluding them is what lets a re-run with, say, a different
-//! lane width still hit the cache.
+//! retry budget still hit the cache.
 
 use crate::exec::cell_params;
 use crate::grid::Cell;

@@ -19,7 +19,7 @@
 mod args;
 
 use args::{parse_graph_spec, parse_shard, Args};
-use fx_campaign::{CampaignSpec, FaultSpec, RunOptions};
+use fx_campaign::{CampaignSpec, RunOptions};
 use fx_core::{theory_table, Network};
 use fx_expansion::certificate::{node_expansion_bounds, Effort};
 use fx_graph::par::CancelToken;
@@ -97,13 +97,10 @@ chaos:      FXNET_CHAOS=site:p,...  deterministic fault injection for testing
             the resilience path (sites: cell_panic, io_error, slow[:p,ms],
             store_io; seed:N reseeds decisions). Example:
             FXNET_CHAOS=cell_panic:0.2,io_error:0.05,slow:0.1,5,seed:7
-lanes:      FXNET_MC_LANES=1|..|64  Monte-Carlo trials packed per machine word
-            (overrides [params] trial_batch; 1 forces the scalar path; results
-             are bit-identical at every width — speed knob only)
-curves:     [params] churn_curves = dyncon|oracle|off  survival-curve engine for
+curves:     [params] churn_curves = dyncon|oracle  survival-curve engine for
             churn cells (dyncon: offline segment-tree + rollback-union-find
             solve of the recorded trace; oracle: per-snapshot re-sweeps, same
-            bits, O(ops·(V+E)); off skips curves — speed knob, never science)
+            bits, O(ops·(V+E)))
 tracing:    FXNET_TRACE=target[=level],...  structured telemetry (targets: par,
             campaign, cell, overlay, percolation, faults, chaos, dyncon, serve,
             store, span; `all`;
@@ -256,20 +253,6 @@ fn run_campaign(args: &Args) -> Result<(), String> {
                 eff.samples,
                 work
             );
-            // the bit-parallel Monte-Carlo engine packs trials of
-            // vectorizable (independent-per-node) fault models into
-            // machine words, so multi-trial percolation cells cost
-            // lane *batches*, not trials
-            if eff.trials > 1 && grid.faults.iter().all(FaultSpec::is_vectorizable) {
-                let batches = eff.trials.div_ceil(eff.trial_batch.max(1));
-                outln!(
-                    "      bit-parallel: every fault model is vectorizable — {} trials \
-                     run as {} lane batch(es) of ≤ {} per percolation cell",
-                    eff.trials,
-                    batches,
-                    eff.trial_batch
-                );
-            }
             // churn cells additionally record a zone-adjacency event
             // trace and pay one offline survival-curve pass over it:
             // a join/depart touches the new/departing owner plus its

@@ -15,7 +15,6 @@
 //! fast as the fault-free network (experiment E13).
 
 use fx_graph::{CsrGraph, NodeSet};
-use rand::Rng;
 
 /// Result of a diffusion run.
 #[derive(Debug, Clone)]
@@ -109,26 +108,12 @@ pub fn point_load(g: &CsrGraph, alive: &NodeSet, source: u32, total: f64) -> Vec
     load
 }
 
-/// Uniform random load in `[0, scale)` on alive nodes.
-pub fn random_load<R: Rng + ?Sized>(
-    g: &CsrGraph,
-    alive: &NodeSet,
-    scale: f64,
-    rng: &mut R,
-) -> Vec<f64> {
-    let mut load = vec![0.0; g.num_nodes()];
-    for v in alive.iter() {
-        load[v as usize] = rng.gen_range(0.0..scale);
-    }
-    load
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fx_graph::generators;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn conserves_total_and_converges_on_clique() {
@@ -205,7 +190,7 @@ mod tests {
         let g = generators::torus(&[5, 5]);
         let alive = NodeSet::full(25);
         let mut rng = SmallRng::seed_from_u64(2);
-        let load = random_load(&g, &alive, 10.0, &mut rng);
+        let load: Vec<f64> = (0..25).map(|_| rng.gen_range(0.0..10.0)).collect();
         let before: f64 = load.iter().sum();
         // run a fixed number of rounds by setting tol = 0
         let mut x = load.clone();

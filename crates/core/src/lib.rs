@@ -30,7 +30,7 @@ pub mod scenario;
 pub mod theory;
 
 pub use analyzer::{analyze_adversarial, analyze_random, AnalyzerConfig};
-pub use diffusion::{diffuse, point_load, random_load, DiffusionOutcome};
+pub use diffusion::{diffuse, point_load, DiffusionOutcome};
 pub use embedding::{embed_nearest, EmbeddingQuality};
 pub use families::{subdivided_expander, Family};
 pub use network::{Network, NetworkSummary};

@@ -14,7 +14,6 @@
 
 use crate::cut::Cut;
 use crate::exact::{exact_edge_expansion, exact_node_expansion, EXACT_MAX_NODES};
-use crate::fiedler::EigenMethod;
 use crate::local::{improve_cut, Objective};
 use crate::sweep::spectral_sweep;
 use fx_graph::components::components;
@@ -26,8 +25,6 @@ use rand::Rng;
 pub enum Effort {
     /// Exact if `alive ≤ EXACT_MAX_NODES`, otherwise spectral sweep.
     Auto,
-    /// Spectral sweep only (skip exact even when affordable).
-    Spectral,
     /// Spectral sweep + local refinement passes.
     SpectralRefined,
 }
@@ -128,7 +125,7 @@ fn bounds_impl<R: Rng + ?Sized>(
     }
 
     // Spectral route.
-    let sweep = spectral_sweep(g, alive, EigenMethod::Lanczos, rng);
+    let sweep = spectral_sweep(g, alive, rng);
     let lambda2 = sweep.lambda2.unwrap_or(0.0).max(0.0);
     // Cheeger: conductance φ ≥ λ₂/2; αe ≥ φ·d_min; α ≥ αe/δ.
     let d_min = alive
@@ -256,9 +253,11 @@ mod tests {
         // Margulis expander: λ₂ bounded away from 0 → positive lower
         // bound independent of n (up to the d_min/δ factors).
         let mut rng = SmallRng::seed_from_u64(6);
+        // (64 nodes is past EXACT_MAX_NODES, so Auto takes the
+        // spectral route)
         let g = generators::margulis(8);
         let alive = NodeSet::full(64);
-        let b = edge_expansion_bounds(&g, &alive, Effort::Spectral, &mut rng);
+        let b = edge_expansion_bounds(&g, &alive, Effort::Auto, &mut rng);
         assert!(b.lower > 0.05, "expander edge lower bound {}", b.lower);
     }
 }

@@ -1,18 +1,8 @@
 //! Fiedler vectors: the spectral ordering behind sweep cuts.
 
-use crate::lanczos::{lanczos_lambda2, power_lambda2, LanczosResult};
+use crate::lanczos::{lanczos_lambda2, LanczosResult};
 use crate::matvec::CompactComponent;
 use rand::Rng;
-
-/// Which eigensolver to use (ablation A1 compares them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EigenMethod {
-    /// Lanczos with full reorthogonalization (default; fast and
-    /// accurate).
-    Lanczos,
-    /// Deflated power iteration (slow fallback / cross-check).
-    Power,
-}
 
 /// Spectral data for a component: `λ₂` and per-node sweep scores.
 #[derive(Debug, Clone)]
@@ -28,11 +18,11 @@ pub struct Fiedler {
     pub residual: f64,
 }
 
-/// Computes the Fiedler data of `comp`. Returns `None` for components
-/// with fewer than 2 nodes.
+/// Computes the Fiedler data of `comp` with Lanczos (full
+/// reorthogonalization). Returns `None` for components with fewer
+/// than 2 nodes.
 pub fn fiedler<R: Rng + ?Sized>(
     comp: &CompactComponent,
-    method: EigenMethod,
     max_iter: usize,
     tol: f64,
     rng: &mut R,
@@ -42,10 +32,7 @@ pub fn fiedler<R: Rng + ?Sized>(
         ritz_vector,
         iterations,
         residual,
-    } = match method {
-        EigenMethod::Lanczos => lanczos_lambda2(comp, max_iter, tol, rng)?,
-        EigenMethod::Power => power_lambda2(comp, max_iter.max(2000) * 20, tol, rng)?,
-    };
+    } = lanczos_lambda2(comp, max_iter, tol, rng)?;
     // Vertex-space scores: y = D^{-1/2} x. Sweep thresholds on y give
     // the Cheeger guarantee for conductance.
     let scores: Vec<f64> = ritz_vector
@@ -84,7 +71,7 @@ mod tests {
         let alive = NodeSet::full(10);
         let comp = CompactComponent::largest(&g, &alive).unwrap();
         let mut rng = SmallRng::seed_from_u64(5);
-        let f = fiedler(&comp, EigenMethod::Lanczos, 100, 1e-10, &mut rng).unwrap();
+        let f = fiedler(&comp, 100, 1e-10, &mut rng).unwrap();
         // clique A: back ids 0..5, clique B: 5..10 (compact == original)
         let sign_a = f.scores[1].signum();
         for i in 1..5 {
@@ -106,8 +93,8 @@ mod tests {
         let alive = NodeSet::full(16);
         let comp = CompactComponent::largest(&g, &alive).unwrap();
         let mut rng = SmallRng::seed_from_u64(21);
-        let a = fiedler(&comp, EigenMethod::Lanczos, 150, 1e-12, &mut rng).unwrap();
-        let b = fiedler(&comp, EigenMethod::Power, 5000, 1e-13, &mut rng).unwrap();
+        let a = fiedler(&comp, 150, 1e-12, &mut rng).unwrap();
+        let b = crate::lanczos::power_lambda2(&comp, 100_000, 1e-13, &mut rng).unwrap();
         assert!(
             (a.lambda2 - b.lambda2).abs() < 1e-5,
             "{} vs {}",

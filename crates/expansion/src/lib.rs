@@ -40,5 +40,4 @@ pub mod sweep;
 
 pub use certificate::{edge_expansion_bounds, node_expansion_bounds, Effort, ExpansionBounds};
 pub use cut::Cut;
-pub use fiedler::EigenMethod;
 pub use sweep::{spectral_sweep, SweepOutcome};

@@ -8,7 +8,7 @@
 //! too large for exact enumeration.
 
 use crate::cut::Cut;
-use crate::fiedler::{fiedler, EigenMethod, Fiedler};
+use crate::fiedler::{fiedler, Fiedler};
 use crate::matvec::CompactComponent;
 use fx_graph::{CsrGraph, NodeId, NodeSet};
 use rand::Rng;
@@ -135,14 +135,9 @@ pub fn sweep_by_scores(
     (node_cut, edge_cut_res)
 }
 
-/// Full spectral sweep of the largest alive component: Fiedler scores
-/// (by `method`) then [`sweep_by_scores`].
-pub fn spectral_sweep<R: Rng + ?Sized>(
-    g: &CsrGraph,
-    alive: &NodeSet,
-    method: EigenMethod,
-    rng: &mut R,
-) -> SweepOutcome {
+/// Full spectral sweep of the largest alive component: Lanczos
+/// Fiedler scores then [`sweep_by_scores`].
+pub fn spectral_sweep<R: Rng + ?Sized>(g: &CsrGraph, alive: &NodeSet, rng: &mut R) -> SweepOutcome {
     let Some(comp) = CompactComponent::largest(g, alive) else {
         return SweepOutcome {
             best_node: None,
@@ -152,7 +147,7 @@ pub fn spectral_sweep<R: Rng + ?Sized>(
     };
     let Some(Fiedler {
         lambda2, scores, ..
-    }) = fiedler(&comp, method, 160, 1e-9, rng)
+    }) = fiedler(&comp, 160, 1e-9, rng)
     else {
         return SweepOutcome {
             best_node: None,
@@ -189,7 +184,7 @@ mod tests {
         let g = b.build();
         let alive = NodeSet::full(12);
         let mut rng = SmallRng::seed_from_u64(3);
-        let out = spectral_sweep(&g, &alive, EigenMethod::Lanczos, &mut rng);
+        let out = spectral_sweep(&g, &alive, &mut rng);
         let edge = out.best_edge.unwrap();
         assert_eq!(edge.edge_cut, 1, "should cut the bridge");
         assert_eq!(edge.size(), 6);
@@ -205,7 +200,7 @@ mod tests {
         let g = generators::cycle(16);
         let alive = NodeSet::full(16);
         let mut rng = SmallRng::seed_from_u64(17);
-        let out = spectral_sweep(&g, &alive, EigenMethod::Lanczos, &mut rng);
+        let out = spectral_sweep(&g, &alive, &mut rng);
         let e = out.best_edge.unwrap();
         assert!((e.edge_ratio() - 0.25).abs() < 1e-9, "{}", e.edge_ratio());
     }
@@ -219,7 +214,7 @@ mod tests {
             alive.remove(v);
         }
         let mut rng = SmallRng::seed_from_u64(23);
-        let out = spectral_sweep(&g, &alive, EigenMethod::Lanczos, &mut rng);
+        let out = spectral_sweep(&g, &alive, &mut rng);
         let c = out.best_node.unwrap();
         assert!(c.verify(&g, &alive));
         assert!(c.size() <= 15);
@@ -231,9 +226,9 @@ mod tests {
         let g = generators::path(1);
         let alive = NodeSet::full(1);
         let mut rng = SmallRng::seed_from_u64(1);
-        let out = spectral_sweep(&g, &alive, EigenMethod::Lanczos, &mut rng);
+        let out = spectral_sweep(&g, &alive, &mut rng);
         assert!(out.best_node.is_none());
-        let out2 = spectral_sweep(&g, &NodeSet::empty(1), EigenMethod::Lanczos, &mut rng);
+        let out2 = spectral_sweep(&g, &NodeSet::empty(1), &mut rng);
         assert!(out2.best_edge.is_none());
     }
 }

@@ -3,14 +3,12 @@
 //! The adversary's leverage is always the same: spend faults on a
 //! small *separator* to disconnect a large region. The strategies here
 //! range from topology-blind (degree attack) through spectral (sweep
-//! separator) to construction-aware (chain centers, Theorem 2.3;
-//! hyperplanes for meshes), plus a best-of-suite meta-adversary.
+//! separator) to construction-aware (chain centers, Theorem 2.3).
 
 use crate::model::FaultModel;
-use fx_expansion::{spectral_sweep, EigenMethod};
+use fx_expansion::spectral_sweep;
 use fx_graph::boundary::node_boundary;
-use fx_graph::components::components;
-use fx_graph::generators::{MeshShape, SubdividedGraph};
+use fx_graph::generators::SubdividedGraph;
 use fx_graph::{CsrGraph, NodeId, NodeSet};
 use rand::RngCore;
 
@@ -30,7 +28,7 @@ impl FaultModel for SparseCutAdversary {
         let mut failed = NodeSet::empty(n);
         let mut alive = NodeSet::full(n);
         while failed.len() < self.budget {
-            let out = spectral_sweep(g, &alive, EigenMethod::Lanczos, rng);
+            let out = spectral_sweep(g, &alive, rng);
             let Some(cut) = out.best_node else { break };
             let sep = node_boundary(g, &alive, &cut.side);
             if sep.is_empty() {
@@ -88,54 +86,6 @@ impl FaultModel for ChainCenterAdversary<'_> {
     }
 }
 
-/// Mesh bisection: kill whole hyperplanes `x_axis = c` through the
-/// middle, the canonical `n^{(d-1)/d}`-fault bisector of a d-dim mesh.
-#[derive(Debug, Clone)]
-pub struct HyperplaneAdversary {
-    /// Mesh geometry (must match the target graph's id layout).
-    pub shape: MeshShape,
-    /// Axis orthogonal to the killed hyperplanes.
-    pub axis: usize,
-    /// Fault budget: hyperplanes are killed from the middle outwards
-    /// until the budget is exhausted (partial planes allowed).
-    pub budget: usize,
-}
-
-impl FaultModel for HyperplaneAdversary {
-    fn sample(&self, g: &CsrGraph, _rng: &mut dyn RngCore) -> NodeSet {
-        assert_eq!(g.num_nodes(), self.shape.num_nodes());
-        assert!(self.axis < self.shape.ndim());
-        let side = self.shape.dims()[self.axis];
-        // order planes: middle first, then alternating outwards
-        let mid = side / 2;
-        let mut planes: Vec<usize> = vec![mid];
-        for off in 1..side {
-            if mid + off < side {
-                planes.push(mid + off);
-            }
-            if mid >= off {
-                planes.push(mid - off);
-            }
-        }
-        let mut failed = NodeSet::empty(g.num_nodes());
-        'outer: for c in planes {
-            for v in 0..g.num_nodes() as NodeId {
-                if self.shape.coords(v)[self.axis] == c {
-                    if failed.len() >= self.budget {
-                        break 'outer;
-                    }
-                    failed.insert(v);
-                }
-            }
-        }
-        failed
-    }
-
-    fn name(&self) -> String {
-        format!("hyperplane(axis={}, f={})", self.axis, self.budget)
-    }
-}
-
 /// Degree-targeted attack: kill the highest-degree nodes first
 /// (the classic "attack the hubs" heuristic; a weak baseline on
 /// regular graphs, strong on heterogeneous ones).
@@ -157,44 +107,10 @@ impl FaultModel for DegreeAdversary {
     }
 }
 
-/// Meta-adversary: runs every strategy and keeps the fault set that
-/// minimizes the surviving largest component.
-pub struct BestOfAdversary<'a> {
-    /// Competing strategies.
-    pub strategies: Vec<Box<dyn FaultModel + 'a>>,
-}
-
-impl FaultModel for BestOfAdversary<'_> {
-    fn sample(&self, g: &CsrGraph, rng: &mut dyn RngCore) -> NodeSet {
-        assert!(!self.strategies.is_empty(), "no strategies given");
-        let mut best: Option<(usize, NodeSet)> = None;
-        for s in &self.strategies {
-            let failed = s.sample(g, rng);
-            let alive = failed.complement();
-            let score = components(g, &alive).largest().map_or(0, |(_, size)| size);
-            if best.as_ref().is_none_or(|(b, _)| score < *b) {
-                best = Some((score, failed));
-            }
-        }
-        best.expect("nonempty strategies").1
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "best-of[{}]",
-            self.strategies
-                .iter()
-                .map(|s| s.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fx_graph::components::gamma;
+    use fx_graph::components::{components, gamma};
     use fx_graph::generators;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -250,24 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn hyperplane_bisects_mesh() {
-        let shape = MeshShape::new(&[9, 9]);
-        let g = generators::mesh(&[9, 9]);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let adv = HyperplaneAdversary {
-            shape,
-            axis: 0,
-            budget: 9,
-        };
-        let failed = adv.sample(&g, &mut rng);
-        assert_eq!(failed.len(), 9);
-        let alive = failed.complement();
-        let comps = components(&g, &alive);
-        assert_eq!(comps.count(), 2);
-        assert!(gamma(&g, &alive) < 0.5);
-    }
-
-    #[test]
     fn degree_adversary_kills_hub() {
         let g = generators::star(10);
         let mut rng = SmallRng::seed_from_u64(10);
@@ -275,20 +173,5 @@ mod tests {
         assert!(failed.contains(0));
         let alive = failed.complement();
         assert!((gamma(&g, &alive) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn best_of_picks_strongest() {
-        let g = generators::star(20);
-        let mut rng = SmallRng::seed_from_u64(11);
-        let best = BestOfAdversary {
-            strategies: vec![
-                Box::new(crate::random::ExactRandomFaults { f: 1 }),
-                Box::new(DegreeAdversary { budget: 1 }),
-            ],
-        };
-        let failed = best.sample(&g, &mut rng);
-        // degree attack (killing the hub) dominates on a star
-        assert!(failed.contains(0));
     }
 }

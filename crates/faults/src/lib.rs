@@ -36,9 +36,7 @@ pub mod random;
 pub mod spec;
 pub mod targeted;
 
-pub use adversary::{
-    BestOfAdversary, ChainCenterAdversary, DegreeAdversary, HyperplaneAdversary, SparseCutAdversary,
-};
+pub use adversary::{ChainCenterAdversary, DegreeAdversary, SparseCutAdversary};
 pub use clustered::{CenterBias, ClusteredFaults};
 pub use heavy_tailed::HeavyTailedFaults;
 pub use model::{apply_faults, FaultModel};

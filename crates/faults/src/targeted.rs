@@ -292,7 +292,7 @@ mod tests {
         use fx_graph::dyncon::solve_curve;
         use fx_graph::Scratch;
         let mut rng = SmallRng::seed_from_u64(7);
-        let g = generators::gnm(30, 55, &mut rng);
+        let g = generators::gnp(30, 0.125, &mut rng);
         let mut scratch = Scratch::new();
         for by in [TargetBy::Degree, TargetBy::Core, TargetBy::DegreeAdaptive] {
             let order = targeted_order(&g, by);

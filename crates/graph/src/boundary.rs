@@ -74,26 +74,6 @@ pub fn edge_cut_size(g: &CsrGraph, alive: &NodeSet, u: &NodeSet) -> usize {
     cut
 }
 
-/// Node expansion ratio `|Γ(U)| / |U∩alive|`; `None` for empty `U∩alive`.
-pub fn node_expansion_of(g: &CsrGraph, alive: &NodeSet, u: &NodeSet) -> Option<f64> {
-    let size = u.intersection_len(alive);
-    if size == 0 {
-        return None;
-    }
-    Some(node_boundary_size(g, alive, u) as f64 / size as f64)
-}
-
-/// Edge expansion ratio `|(U, alive\U)| / min(|U|, |alive\U|)`;
-/// `None` if either side is empty.
-pub fn edge_expansion_of(g: &CsrGraph, alive: &NodeSet, u: &NodeSet) -> Option<f64> {
-    let inside = u.intersection_len(alive);
-    let outside = alive.len() - inside;
-    if inside == 0 || outside == 0 {
-        return None;
-    }
-    Some(edge_cut_size(g, alive, u) as f64 / inside.min(outside) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,8 +92,6 @@ mod tests {
         let u = NodeSet::from_iter(5, [1, 2]);
         assert_eq!(node_boundary(&g, &alive, &u).to_vec(), vec![0, 3]);
         assert_eq!(edge_cut_size(&g, &alive, &u), 2);
-        assert!((node_expansion_of(&g, &alive, &u).unwrap() - 1.0).abs() < 1e-12);
-        assert!((edge_expansion_of(&g, &alive, &u).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -140,15 +118,6 @@ mod tests {
         alive.remove(1);
         let u = NodeSet::from_iter(4, [0, 1]); // 1 is dead
         assert!(node_boundary(&g, &alive, &u).is_empty());
-        assert_eq!(node_expansion_of(&g, &alive, &u), Some(0.0));
-    }
-
-    #[test]
-    fn expansion_none_for_degenerate_sides() {
-        let g = generators::cycle(6);
-        let alive = NodeSet::full(6);
-        assert_eq!(node_expansion_of(&g, &alive, &NodeSet::empty(6)), None);
-        assert_eq!(edge_expansion_of(&g, &alive, &NodeSet::full(6)), None);
     }
 
     #[test]
@@ -158,7 +127,6 @@ mod tests {
         let half = NodeSet::from_iter(8, [0, 1, 2, 3]);
         assert_eq!(edge_cut_size(&g, &alive, &half), 2);
         assert_eq!(node_boundary_size(&g, &alive, &half), 2);
-        assert!((edge_expansion_of(&g, &alive, &half).unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]

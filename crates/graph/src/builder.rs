@@ -38,11 +38,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edges added so far (before deduplication).
-    pub fn num_edges_raw(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`.
     ///
     /// # Panics

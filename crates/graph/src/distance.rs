@@ -1,5 +1,5 @@
-//! Unweighted shortest-path machinery: single/multi-source BFS,
-//! diameter (exact and two-sweep lower bound), eccentricity.
+//! Unweighted shortest-path machinery: single/multi-source BFS and
+//! diameter (exact and two-sweep lower bound).
 //!
 //! The paper's §4 remark bounds the pruned component's diameter by
 //! `O(α⁻¹ log n)`; experiment E10 measures it with these routines.
@@ -93,12 +93,8 @@ pub fn multi_source_bfs(g: &CsrGraph, alive: &NodeSet, sources: &[NodeId]) -> Vo
 }
 
 /// Eccentricity of `src` within its alive component (max finite BFS
-/// distance). Returns `None` if `src` is dead.
-pub fn eccentricity(g: &CsrGraph, alive: &NodeSet, src: NodeId) -> Option<u32> {
-    eccentricity_with(g, alive, src, &mut Scratch::new())
-}
-
-/// [`eccentricity`] through reusable scratch.
+/// distance), through reusable scratch. Returns `None` if `src` is
+/// dead.
 pub fn eccentricity_with(
     g: &CsrGraph,
     alive: &NodeSet,
@@ -209,6 +205,5 @@ mod tests {
         let g = generators::path(4);
         assert_eq!(diameter_exact(&g, &NodeSet::empty(4)), None);
         assert_eq!(diameter_two_sweep(&g, &NodeSet::empty(4)), None);
-        assert_eq!(eccentricity(&g, &NodeSet::empty(4), 0), None);
     }
 }

@@ -1,4 +1,5 @@
-//! Elementary families: paths, cycles, cliques, stars, trees.
+//! Elementary families: paths, cycles, cliques, stars, complete
+//! bipartite graphs.
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
@@ -56,16 +57,6 @@ pub fn complete_bipartite(a: usize, b_size: usize) -> CsrGraph {
     b.build()
 }
 
-/// Balanced binary tree with `n` nodes in heap order
-/// (node `i` has children `2i+1`, `2i+2`).
-pub fn balanced_binary_tree(n: usize) -> CsrGraph {
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for i in 1..n {
-        b.add_edge(((i - 1) / 2) as NodeId, i as NodeId);
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,15 +103,5 @@ mod tests {
         assert_eq!(g.num_edges(), 12);
         assert!(!g.has_edge(0, 1)); // same side
         assert!(g.has_edge(0, 3));
-    }
-
-    #[test]
-    fn tree_is_acyclic_connected() {
-        let g = balanced_binary_tree(15);
-        assert_eq!(g.num_edges(), 14);
-        let alive = crate::bitset::NodeSet::full(15);
-        assert!(crate::components::is_connected(&g, &alive));
-        assert_eq!(g.degree(0), 2);
-        assert_eq!(g.degree(14), 1);
     }
 }

@@ -1,7 +1,5 @@
 //! Composite / pathological families used by tests, lower bounds, and
-//! the attack experiments: barbells, lollipops, rings of cliques,
-//! caterpillars (the paper's §1 joke notwithstanding, caterpillar
-//! trees are genuinely useful low-expansion fixtures).
+//! the attack experiments: barbells and lollipops.
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
@@ -54,44 +52,6 @@ pub fn lollipop(m: usize, tail: usize) -> CsrGraph {
     b.build()
 }
 
-/// Ring of cliques: `count` copies of `K_m` arranged in a cycle, with
-/// single edges between consecutive cliques — uniform expansion
-/// `Θ(1/m)` with many symmetric thin cuts.
-pub fn ring_of_cliques(count: usize, m: usize) -> CsrGraph {
-    assert!(count >= 3 && m >= 1, "need ≥3 cliques");
-    let n = count * m;
-    let mut b = GraphBuilder::with_capacity(n, count * (m * m / 2 + 1));
-    for c in 0..count {
-        let base = c * m;
-        for i in 0..m {
-            for j in (i + 1)..m {
-                b.add_edge((base + i) as NodeId, (base + j) as NodeId);
-            }
-        }
-        // connect clique c's "port 1" to clique c+1's "port 0"
-        let next_base = ((c + 1) % count) * m;
-        b.add_edge((base + m - 1) as NodeId, next_base as NodeId);
-    }
-    b.build()
-}
-
-/// Caterpillar tree: a spine path of `spine` nodes, each carrying
-/// `legs` pendant leaves.
-pub fn caterpillar(spine: usize, legs: usize) -> CsrGraph {
-    assert!(spine >= 1);
-    let n = spine * (1 + legs);
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for s in 1..spine {
-        b.add_edge((s - 1) as NodeId, s as NodeId);
-    }
-    for s in 0..spine {
-        for l in 0..legs {
-            b.add_edge(s as NodeId, (spine + s * legs + l) as NodeId);
-        }
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,28 +81,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_of_cliques_structure() {
-        let g = ring_of_cliques(4, 5);
-        assert_eq!(g.num_nodes(), 20);
-        assert_eq!(g.num_edges(), 4 * 10 + 4);
-        assert!(is_connected(&g, &NodeSet::full(20)));
-        assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn caterpillar_structure() {
-        let g = caterpillar(4, 3);
-        assert_eq!(g.num_nodes(), 16);
-        assert_eq!(g.num_edges(), 15);
-        assert_eq!(g.degree(0), 1 + 3);
-        assert_eq!(g.degree(1), 2 + 3);
-        assert!(is_connected(&g, &NodeSet::full(16)));
-    }
-
-    #[test]
     fn degenerate_sizes() {
         assert_eq!(barbell(1, 1).num_edges(), 1);
-        assert_eq!(caterpillar(1, 0).num_nodes(), 1);
         assert_eq!(lollipop(1, 0).num_edges(), 0);
     }
 }

@@ -80,26 +80,6 @@ impl MeshShape {
             })
             .collect()
     }
-
-    /// Chebyshev (L∞) distance between two nodes' coordinates —
-    /// used by the virtual-edge predicate of Lemma 3.7.
-    pub fn linf_distance(&self, a: NodeId, b: NodeId) -> usize {
-        self.coords(a)
-            .iter()
-            .zip(self.coords(b).iter())
-            .map(|(&x, &y)| x.abs_diff(y))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Number of coordinates in which `a` and `b` differ.
-    pub fn hamming_dims(&self, a: NodeId, b: NodeId) -> usize {
-        self.coords(a)
-            .iter()
-            .zip(self.coords(b).iter())
-            .filter(|(&x, &y)| x != y)
-            .count()
-    }
 }
 
 fn build_lattice(dims: &[usize], wrap: bool) -> CsrGraph {
@@ -205,23 +185,19 @@ mod tests {
     }
 
     #[test]
-    fn linf_and_hamming() {
-        let s = MeshShape::new(&[5, 5]);
-        let a = s.index(&[1, 1]);
-        let b = s.index(&[2, 3]);
-        assert_eq!(s.linf_distance(a, b), 2);
-        assert_eq!(s.hamming_dims(a, b), 2);
-        assert_eq!(s.linf_distance(a, a), 0);
-    }
-
-    #[test]
     fn mesh_neighbors_are_lattice_neighbors() {
         let s = MeshShape::new(&[4, 4]);
         let g = mesh(&[4, 4]);
         for v in g.nodes() {
             for &w in g.neighbors(v) {
-                assert_eq!(s.linf_distance(v, w), 1);
-                assert_eq!(s.hamming_dims(v, w), 1);
+                let steps: Vec<usize> = s
+                    .coords(v)
+                    .iter()
+                    .zip(s.coords(w).iter())
+                    .map(|(&x, &y)| x.abs_diff(y))
+                    .filter(|&d| d != 0)
+                    .collect();
+                assert_eq!(steps, vec![1]);
             }
         }
     }

@@ -12,19 +12,17 @@ mod classic;
 mod composite;
 mod debruijn;
 mod expander;
-mod geometric;
 mod hypercube;
 mod mesh;
 mod random;
 mod subdivide;
 
 pub use butterfly::{butterfly, wrapped_butterfly};
-pub use classic::{balanced_binary_tree, complete, complete_bipartite, cycle, path, star};
-pub use composite::{barbell, caterpillar, lollipop, ring_of_cliques};
+pub use classic::{complete, complete_bipartite, cycle, path, star};
+pub use composite::{barbell, lollipop};
 pub use debruijn::{de_bruijn, shuffle_exchange};
 pub use expander::margulis;
-pub use geometric::random_geometric;
 pub use hypercube::hypercube;
 pub use mesh::{mesh, torus, MeshShape};
-pub use random::{gnm, gnp, random_regular, small_world};
+pub use random::{gnp, random_regular, small_world};
 pub use subdivide::{subdivide, SubdividedGraph};

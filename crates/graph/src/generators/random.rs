@@ -63,26 +63,6 @@ fn decode_pair(idx: u64, n: u64) -> (u64, u64) {
     (r, c)
 }
 
-/// Erdős–Rényi `G(n, m)`: exactly `m` distinct edges, uniformly.
-pub fn gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> CsrGraph {
-    let total = n * n.saturating_sub(1) / 2;
-    assert!(m <= total, "requested {m} edges but only {total} possible");
-    let mut b = GraphBuilder::with_capacity(n, m);
-    let mut chosen = std::collections::HashSet::with_capacity(m * 2);
-    while chosen.len() < m {
-        let i = rng.gen_range(0..n as u64);
-        let j = rng.gen_range(0..n as u64);
-        if i == j {
-            continue;
-        }
-        let key = if i < j { (i, j) } else { (j, i) };
-        if chosen.insert(key) {
-            b.add_edge(key.0 as NodeId, key.1 as NodeId);
-        }
-    }
-    b.build()
-}
-
 /// Watts–Strogatz small world: a ring lattice on `n` nodes where each
 /// node links to its `k` nearest neighbors (`k/2` per side — a
 /// 1-dimensional torus with a fattened neighborhood), then every
@@ -264,14 +244,6 @@ mod tests {
                 idx += 1;
             }
         }
-    }
-
-    #[test]
-    fn gnm_exact_count() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let g = gnm(50, 100, &mut rng);
-        assert_eq!(g.num_edges(), 100);
-        assert!(g.validate().is_ok());
     }
 
     #[test]

@@ -53,15 +53,6 @@ impl SubdividedGraph {
     pub fn is_original(&self, v: NodeId) -> bool {
         (v as usize) < self.original_n
     }
-
-    /// For a chain node, the index of the chain it belongs to.
-    pub fn chain_of(&self, v: NodeId) -> Option<usize> {
-        if self.is_original(v) {
-            None
-        } else {
-            Some((v as usize - self.original_n) / self.k)
-        }
-    }
 }
 
 /// Subdivides every edge of `g` with `k` interior nodes. `k = 0`
@@ -164,8 +155,6 @@ mod tests {
         assert_eq!(s.centers().len(), 4);
         assert!(s.is_original(3));
         assert!(!s.is_original(4));
-        assert_eq!(s.chain_of(4), Some(0));
-        assert_eq!(s.chain_of(3), None);
         assert_eq!(s.chain_center(0), 4 + 1);
     }
 }

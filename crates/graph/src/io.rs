@@ -1,10 +1,8 @@
-//! Graph (de)serialization: a JSON-friendly edge-list form and a plain
-//! text format (`n` then one `u v` pair per line) for interchange with
-//! external tools.
+//! Graph (de)serialization: the JSON-friendly edge-list form behind
+//! [`CsrGraph`]'s JSON impls.
 
 use crate::csr::CsrGraph;
 use crate::node::{Edge, NodeId};
-use std::io::{BufRead, Write};
 
 /// Portable edge-list representation of a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,52 +31,6 @@ impl From<&GraphData> for CsrGraph {
     }
 }
 
-/// Writes `g` as text: first line `n m`, then one `u v` per edge.
-pub fn write_edge_list<W: Write>(g: &CsrGraph, mut w: W) -> std::io::Result<()> {
-    writeln!(w, "{} {}", g.num_nodes(), g.num_edges())?;
-    for e in g.edges() {
-        writeln!(w, "{} {}", e.u, e.v)?;
-    }
-    Ok(())
-}
-
-/// Reads the format written by [`write_edge_list`].
-pub fn read_edge_list<R: BufRead>(r: R) -> std::io::Result<CsrGraph> {
-    let mut lines = r.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "empty input"))??;
-    let mut it = header.split_whitespace();
-    let parse_err = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    let n: usize = it
-        .next()
-        .ok_or_else(|| parse_err("missing n"))?
-        .parse()
-        .map_err(|_| parse_err("bad n"))?;
-    let m: usize = it
-        .next()
-        .ok_or_else(|| parse_err("missing m"))?
-        .parse()
-        .map_err(|_| parse_err("bad m"))?;
-    let mut builder = crate::builder::GraphBuilder::with_capacity(n, m);
-    for line in lines.take(m) {
-        let line = line?;
-        let mut it = line.split_whitespace();
-        let u: NodeId = it
-            .next()
-            .ok_or_else(|| parse_err("missing u"))?
-            .parse()
-            .map_err(|_| parse_err("bad u"))?;
-        let v: NodeId = it
-            .next()
-            .ok_or_else(|| parse_err("missing v"))?
-            .parse()
-            .map_err(|_| parse_err("bad v"))?;
-        builder.add_edge(u, v);
-    }
-    Ok(builder.build())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,22 +44,5 @@ mod tests {
         assert_eq!(g.num_nodes(), g2.num_nodes());
         assert_eq!(g.num_edges(), g2.num_edges());
         assert_eq!(GraphData::from(&g2), data);
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let g = generators::hypercube(4);
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let g2 = read_edge_list(std::io::BufReader::new(buf.as_slice())).unwrap();
-        assert_eq!(GraphData::from(&g), GraphData::from(&g2));
-    }
-
-    #[test]
-    fn read_rejects_garbage() {
-        let res = read_edge_list(std::io::BufReader::new("not a graph".as_bytes()));
-        assert!(res.is_err());
-        let res = read_edge_list(std::io::BufReader::new("".as_bytes()));
-        assert!(res.is_err());
     }
 }

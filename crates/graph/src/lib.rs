@@ -11,13 +11,13 @@
 //!   injection never rebuilds adjacency;
 //! * [`generators`] — meshes/tori, hypercubes, butterflies, de Bruijn,
 //!   shuffle-exchange, Margulis expanders, random (regular) graphs,
-//!   geometric graphs, and the Theorem 2.3 chain-subdivision operator;
+//!   small worlds, and the Theorem 2.3 chain-subdivision operator;
 //! * traversal / components / union-find / distance machinery;
 //! * [`dyncon`] — offline fully-dynamic connectivity: segment tree
 //!   over time + rollback union-find, one pass per churn trace
 //!   instead of one sweep per snapshot;
-//! * [`tree`] — BFS spanning trees, Mehlhorn 2-approximate and
-//!   Dreyfus–Wagner exact Steiner trees (the span's `P(U)`);
+//! * [`tree`] — Mehlhorn 2-approximate and Dreyfus–Wagner exact
+//!   Steiner trees (the span's `P(U)`);
 //! * [`boundary`] — `Γ(U)` and edge cuts, the atoms of expansion;
 //! * [`par`] — a persistent, deterministic work-stealing executor
 //!   (with cooperative cancellation) for the Monte-Carlo harnesses

@@ -24,11 +24,10 @@
 //! borrowed closures to `'static` workers sound (the same reasoning as
 //! scoped threads, enforced by a completion latch).
 //!
-//! Cooperative cancellation is built in: a [`CancelToken`] (explicit
-//! flag and/or deadline) is checked in the chunk loops, and
-//! long-running kernels (exact span enumeration, critical-probability
-//! searches) poll the same token, which is how fx-campaign implements
-//! per-cell `timeout_ms` without blocking a worker forever.
+//! Cooperative cancellation lives in [`CancelToken`] (explicit flag
+//! and/or deadline): long-running kernels (exact span enumeration,
+//! critical-probability searches) poll it, which is how fx-campaign
+//! implements per-cell `timeout_ms` without blocking a worker forever.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -45,7 +44,6 @@ static TRACE_ITEMS: Counter = Counter::new(Target::Par, "items");
 static TRACE_WORKER_JOINS: Counter = Counter::new(Target::Par, "worker_joins");
 static TRACE_QUEUE_DEPTH: Histogram = Histogram::new(Target::Par, "queue_depth");
 static TRACE_PARK_NS: Histogram = Histogram::new(Target::Par, "park_ns");
-static TRACE_CANCEL_POLL_NS: Histogram = Histogram::new(Target::Par, "cancel_poll_ns");
 
 /// The `slow` chaos site: with `FXNET_CHAOS=slow:p[,ms]` a claimed
 /// chunk is delayed by the configured latency before it executes —
@@ -113,9 +111,9 @@ fn threads_from(env_override: Option<&str>) -> usize {
 /// deadline.
 ///
 /// Cheap to clone (shared state behind an `Arc`) and cheap to poll.
-/// The executor checks it between work items; long-running kernels
-/// (exact span enumeration, percolation searches) poll it inside
-/// their own loops. Once observed cancelled it stays cancelled.
+/// Long-running kernels (exact span enumeration, percolation
+/// searches) poll it inside their own loops. Once observed cancelled
+/// it stays cancelled.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     inner: Arc<CancelInner>,
@@ -208,7 +206,6 @@ struct JobSlot {
     pending: AtomicUsize,
     /// Helper participations still available.
     slots: AtomicUsize,
-    cancel: Option<CancelToken>,
     /// The typed harness on the submitter's stack.
     data: *const (),
     /// Type-erased steal loop for `data`.
@@ -261,8 +258,8 @@ impl JobSlot {
         }
     }
 
-    /// Stops handing out work (panic propagation / fast cancellation):
-    /// jumps the cursor to the end and accounts for the skipped tail.
+    /// Stops handing out work (panic propagation): jumps the cursor to
+    /// the end and accounts for the skipped tail.
     fn drain(&self) {
         let prev = self.cursor.swap(self.len, Ordering::Relaxed).min(self.len);
         if prev < self.len {
@@ -287,15 +284,8 @@ trait ParJob: Sync {
     type Local;
     /// Creates a participant's local state.
     fn make_local(&self) -> Self::Local;
-    /// Processes indices `start..end`. `cancel`, when present, should
-    /// be polled per item; skipped items are simply not produced.
-    fn chunk(
-        &self,
-        local: &mut Self::Local,
-        start: usize,
-        end: usize,
-        cancel: Option<&CancelToken>,
-    );
+    /// Processes indices `start..end`.
+    fn chunk(&self, local: &mut Self::Local, start: usize, end: usize);
 }
 
 /// The steal loop, shared by the submitting thread and helpers.
@@ -314,21 +304,6 @@ unsafe fn participate_erased<H: ParJob>(data: *const (), slot: &JobSlot) {
         if start >= slot.len {
             return;
         }
-        // Poll only while work remains (this chunk's items), so a
-        // token that fires after the last item can never be
-        // "observed" — was_observed() stays a truncation signal.
-        if let Some(token) = &slot.cancel {
-            if fx_trace::level(Target::Par) >= 2 {
-                let t0 = Instant::now();
-                let cancelled = token.is_cancelled();
-                TRACE_CANCEL_POLL_NS.record_always(t0.elapsed().as_nanos() as u64);
-                if cancelled {
-                    slot.drain();
-                }
-            } else if token.is_cancelled() {
-                slot.drain();
-            }
-        }
         TRACE_CHUNKS.incr();
         chaos_slow(start);
         let end = (start + slot.batch).min(slot.len);
@@ -337,7 +312,7 @@ unsafe fn participate_erased<H: ParJob>(data: *const (), slot: &JobSlot) {
         // not kill a pool worker
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let local = local.get_or_insert_with(|| job.make_local());
-            job.chunk(local, start, end, slot.cancel.as_ref())
+            job.chunk(local, start, end)
         }));
         if let Err(payload) = outcome {
             slot.store_panic(payload);
@@ -475,29 +450,20 @@ fn claim_slot(queue: &[Arc<JobSlot>]) -> Option<Arc<JobSlot>> {
 /// Runs `job` over `0..len` with up to `threads` participants (the
 /// calling thread plus helpers from the persistent pool). Blocks until
 /// every item is accounted for; propagates the first panic.
-fn run_job<H: ParJob>(
-    threads: usize,
-    len: usize,
-    batch: usize,
-    cancel: Option<&CancelToken>,
-    job: &H,
-) {
+fn run_job<H: ParJob>(threads: usize, len: usize, batch: usize, job: &H) {
     if len == 0 {
         return;
     }
     let threads = threads.clamp(1, len);
     let batch = batch.max(1);
     if threads == 1 {
-        // inline: no queue traffic, no atomics beyond the token poll
+        // inline: no queue traffic, no atomics
         let mut local = job.make_local();
         let mut start = 0;
         while start < len {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return;
-            }
             let end = (start + batch).min(len);
             chaos_slow(start);
-            job.chunk(&mut local, start, end, cancel);
+            job.chunk(&mut local, start, end);
             start = end;
         }
         return;
@@ -511,7 +477,6 @@ fn run_job<H: ParJob>(
         // `len` item accounts + the submitter's participation token
         pending: AtomicUsize::new(len + 1),
         slots: AtomicUsize::new(threads - 1),
-        cancel: cancel.cloned(),
         data: job as *const H as *const (),
         participate: participate_erased::<H>,
         done_mutex: Mutex::new(()),
@@ -572,10 +537,10 @@ where
     fn make_local(&self) -> S {
         (self.init)()
     }
-    fn chunk(&self, local: &mut S, start: usize, end: usize, _cancel: Option<&CancelToken>) {
+    fn chunk(&self, local: &mut S, start: usize, end: usize) {
         for i in start..end {
-            // Safety: exclusive claim on i (map jobs never cancel, so
-            // every index is written exactly once).
+            // Safety: exclusive claim on i (every index is written
+            // exactly once).
             unsafe { self.out.write(i, (self.f)(local, i)) };
         }
     }
@@ -593,17 +558,9 @@ where
 {
     type Local = ();
     fn make_local(&self) {}
-    fn chunk(&self, _local: &mut (), start: usize, end: usize, cancel: Option<&CancelToken>) {
-        let mut batch: Vec<(usize, T)> = Vec::with_capacity(end - start);
-        for i in start..end {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
-            batch.push((i, self.inner.work(i)));
-        }
-        if !batch.is_empty() {
-            self.inner.sink(start, batch);
-        }
+    fn chunk(&self, _local: &mut (), start: usize, end: usize) {
+        let batch: Vec<(usize, T)> = (start..end).map(|i| (i, self.inner.work(i))).collect();
+        self.inner.sink(start, batch);
     }
 }
 
@@ -681,7 +638,7 @@ impl Pool {
             out: &shared,
             _marker: std::marker::PhantomData,
         };
-        run_job(self.threads, len, self.batch, None, &job);
+        run_job(self.threads, len, self.batch, &job);
         out.into_iter()
             .map(|v| v.expect("every index computed"))
             .collect()
@@ -705,24 +662,7 @@ impl Pool {
             inner: &work_sink,
             _marker: std::marker::PhantomData,
         };
-        run_job(self.threads, len, self.batch, None, &job);
-    }
-
-    /// [`Pool::for_each`] with cooperative cancellation: once `token`
-    /// fires, remaining items are skipped (never computed, never
-    /// sunk) and the call returns promptly. Completed items are always
-    /// sunk, so journaling consumers keep every result that was paid
-    /// for.
-    pub fn for_each_cancelable<T, S>(&self, len: usize, token: &CancelToken, work_sink: S)
-    where
-        T: Send,
-        S: ForEach<T> + Sync,
-    {
-        let job = ForEachJob {
-            inner: &work_sink,
-            _marker: std::marker::PhantomData,
-        };
-        run_job(self.threads, len, self.batch, Some(token), &job);
+        run_job(self.threads, len, self.batch, &job);
     }
 }
 
@@ -796,17 +736,6 @@ where
     Pool::new(threads).map_init(len, init, f)
 }
 
-/// Parallel map-reduce: `reduce` folds the mapped values in
-/// *index order* (so non-commutative reductions are deterministic).
-pub fn par_map_reduce<T, A, F, R>(len: usize, threads: usize, f: F, init: A, reduce: R) -> A
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    R: Fn(A, T) -> A,
-{
-    par_map(len, threads, f).into_iter().fold(init, reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,22 +758,6 @@ mod tests {
     fn empty_input() {
         let r: Vec<u32> = par_map(0, 4, |_| unreachable!());
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn reduce_in_order() {
-        // non-commutative reduction: string concat
-        let s = par_map_reduce(
-            5,
-            4,
-            |i| i.to_string(),
-            String::new(),
-            |mut acc, x| {
-                acc.push_str(&x);
-                acc
-            },
-        );
-        assert_eq!(s, "01234");
     }
 
     #[test]
@@ -948,34 +861,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         assert!(d.is_cancelled());
         assert!(clone.is_cancelled(), "clones share cancellation state");
-    }
-
-    #[test]
-    fn for_each_cancelable_skips_after_cancel() {
-        let token = CancelToken::new();
-        let done = Mutex::new(Vec::<usize>::new());
-        Pool {
-            threads: 2,
-            batch: 1,
-        }
-        .for_each_cancelable(
-            10_000,
-            &token,
-            (
-                |i: usize| {
-                    if i == 5 {
-                        token.cancel();
-                    }
-                    i
-                },
-                |_first: usize, batch: Vec<(usize, usize)>| {
-                    done.lock().extend(batch.into_iter().map(|(i, _)| i));
-                },
-            ),
-        );
-        let done = done.into_inner();
-        assert!(!done.is_empty(), "work before the cancel is kept");
-        assert!(done.len() < 10_000, "the tail is skipped");
     }
 
     #[test]

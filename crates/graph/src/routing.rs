@@ -4,7 +4,7 @@
 //! ability of a network to route information is preserved because it
 //! is closely related to its expansion"*. This module quantifies that
 //! on concrete (possibly faulty, possibly pruned) networks: route a
-//! random-pairs workload along BFS shortest paths and measure edge
+//! permutation workload along BFS shortest paths and measure edge
 //! congestion and path dilation. Experiment E12 compares pre-fault,
 //! post-fault, and post-prune congestion.
 
@@ -102,26 +102,6 @@ pub fn route_demands<R: Rng + ?Sized>(
     }
 }
 
-/// Generates `k` uniform random source–target demands over `alive`.
-pub fn random_demands<R: Rng + ?Sized>(
-    alive: &NodeSet,
-    k: usize,
-    rng: &mut R,
-) -> Vec<(NodeId, NodeId)> {
-    let nodes: Vec<NodeId> = alive.to_vec();
-    if nodes.is_empty() {
-        return Vec::new();
-    }
-    (0..k)
-        .map(|_| {
-            (
-                nodes[rng.gen_range(0..nodes.len())],
-                nodes[rng.gen_range(0..nodes.len())],
-            )
-        })
-        .collect()
-}
-
 /// A random permutation workload: every alive node sends to a random
 /// distinct alive node (the classic routing benchmark).
 pub fn permutation_demands<R: Rng + ?Sized>(alive: &NodeSet, rng: &mut R) -> Vec<(NodeId, NodeId)> {
@@ -200,15 +180,6 @@ mod tests {
         let mut targets: Vec<u32> = d.iter().map(|&(_, t)| t).collect();
         targets.sort_unstable();
         assert_eq!(targets, (0..10u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn random_demands_respect_alive() {
-        let alive = NodeSet::from_iter(10, [1, 3, 5]);
-        let mut rng = SmallRng::seed_from_u64(6);
-        for (s, t) in random_demands(&alive, 50, &mut rng) {
-            assert!(alive.contains(s) && alive.contains(t));
-        }
     }
 
     #[test]

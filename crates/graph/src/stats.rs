@@ -1,10 +1,7 @@
-//! Descriptive graph statistics used by reports and experiment
-//! tables, plus the shared [`Welford`] streaming accumulator every
-//! statistical consumer (percolation Monte-Carlo, campaign
-//! aggregation, the bench harness) builds on.
-
-use crate::bitset::NodeSet;
-use crate::csr::CsrGraph;
+//! The shared [`Welford`] streaming accumulator every statistical
+//! consumer (percolation Monte-Carlo, campaign aggregation, the bench
+//! harness) builds on, and the Pareto draw behind heavy-tailed fault
+//! weights and overlay session times.
 
 /// Welford online mean/variance accumulator.
 ///
@@ -71,69 +68,6 @@ impl Welford {
     }
 }
 
-/// Summary statistics of the alive portion of a graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphStats {
-    /// Alive node count.
-    pub nodes: usize,
-    /// Alive-alive edge count.
-    pub edges: usize,
-    /// Minimum alive degree (0 for no nodes).
-    pub min_degree: usize,
-    /// Maximum alive degree.
-    pub max_degree: usize,
-    /// Mean alive degree.
-    pub mean_degree: f64,
-    /// Number of connected components.
-    pub components: usize,
-    /// Fraction of the *full* universe in the largest component.
-    pub gamma: f64,
-}
-
-/// Computes [`GraphStats`] for `(g, alive)`.
-pub fn graph_stats(g: &CsrGraph, alive: &NodeSet) -> GraphStats {
-    let mut min_d = usize::MAX;
-    let mut max_d = 0usize;
-    let mut total = 0usize;
-    for v in alive.iter() {
-        let d = g.degree_in(v, alive);
-        min_d = min_d.min(d);
-        max_d = max_d.max(d);
-        total += d;
-    }
-    let nodes = alive.len();
-    let comps = crate::components::components(g, alive);
-    GraphStats {
-        nodes,
-        edges: total / 2,
-        min_degree: if nodes == 0 { 0 } else { min_d },
-        max_degree: max_d,
-        mean_degree: if nodes == 0 {
-            0.0
-        } else {
-            total as f64 / nodes as f64
-        },
-        components: comps.count(),
-        gamma: comps
-            .largest()
-            .map_or(0.0, |(_, s)| s as f64 / g.num_nodes().max(1) as f64),
-    }
-}
-
-/// Degree histogram of the alive portion: `hist[d]` = number of alive
-/// nodes with alive-degree `d`.
-pub fn degree_histogram(g: &CsrGraph, alive: &NodeSet) -> Vec<usize> {
-    let mut hist = vec![0usize; 1];
-    for v in alive.iter() {
-        let d = g.degree_in(v, alive);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 /// One draw from a Pareto(α, x_m = 1) distribution by inverse
 /// transform: heavy-tailed weights for fault models (per-node fault
 /// heterogeneity) and overlay session times. `α` must be positive;
@@ -151,44 +85,6 @@ pub fn pareto_sample<R: rand::RngCore + ?Sized>(alpha: f64, rng: &mut R) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
-
-    #[test]
-    fn stats_of_cycle() {
-        let g = generators::cycle(10);
-        let alive = NodeSet::full(10);
-        let s = graph_stats(&g, &alive);
-        assert_eq!(s.nodes, 10);
-        assert_eq!(s.edges, 10);
-        assert_eq!(s.min_degree, 2);
-        assert_eq!(s.max_degree, 2);
-        assert!((s.mean_degree - 2.0).abs() < 1e-12);
-        assert_eq!(s.components, 1);
-        assert!((s.gamma - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stats_respect_mask() {
-        let g = generators::cycle(10);
-        let mut alive = NodeSet::full(10);
-        alive.remove(0);
-        alive.remove(5);
-        let s = graph_stats(&g, &alive);
-        assert_eq!(s.nodes, 8);
-        assert_eq!(s.edges, 8 - 2);
-        assert_eq!(s.components, 2);
-        assert!((s.gamma - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_sums_to_nodes() {
-        let g = generators::star(8);
-        let alive = NodeSet::full(8);
-        let h = degree_histogram(&g, &alive);
-        assert_eq!(h.iter().sum::<usize>(), 8);
-        assert_eq!(h[1], 7);
-        assert_eq!(h[7], 1);
-    }
 
     #[test]
     fn welford_matches_naive_two_pass() {
@@ -219,14 +115,5 @@ mod tests {
         // E[X] = α/(α−1) = 3 for α = 1.5 (slow convergence: the tail
         // is heavy, so allow a generous window)
         assert!((1.8..8.0).contains(&mean), "mean {mean}");
-    }
-
-    #[test]
-    fn empty_universe() {
-        let g = generators::path(0);
-        let s = graph_stats(&g, &NodeSet::empty(0));
-        assert_eq!(s.nodes, 0);
-        assert_eq!(s.min_degree, 0);
-        assert_eq!(s.gamma, 0.0);
     }
 }

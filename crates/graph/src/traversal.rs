@@ -1,4 +1,4 @@
-//! Breadth-first and depth-first traversal over masked graphs.
+//! Breadth-first traversal over masked graphs.
 //!
 //! All traversals respect an alive mask. Every kernel has a `_with`
 //! variant taking a [`Scratch`] so hot loops (the pruning loop calls
@@ -62,28 +62,6 @@ pub fn reachable_set_with<'s>(
 ) -> &'s NodeSet {
     bfs_order_with(g, alive, src, scratch);
     &scratch.visited
-}
-
-/// Nodes reachable from `src` within `alive`, in preorder DFS order
-/// (iterative; neighbor order follows the sorted CSR lists).
-pub fn dfs_order(g: &CsrGraph, alive: &NodeSet, src: NodeId) -> Vec<NodeId> {
-    if !alive.contains(src) {
-        return Vec::new();
-    }
-    let mut visited = NodeSet::empty(g.num_nodes());
-    let mut order = Vec::new();
-    let mut stack = vec![src];
-    visited.insert(src);
-    while let Some(v) = stack.pop() {
-        order.push(v);
-        // Push in reverse so the smallest neighbor is expanded first.
-        for &w in g.neighbors(v).iter().rev() {
-            if alive.contains(w) && visited.insert(w) {
-                stack.push(w);
-            }
-        }
-    }
-    order
 }
 
 /// Grows a connected node set from `seed` by BFS until it contains
@@ -192,17 +170,6 @@ mod tests {
                 &bfs_ball(&g, &alive, 0, 3)
             );
         }
-    }
-
-    #[test]
-    fn dfs_preorder() {
-        let g = two_triangles_bridge();
-        let alive = NodeSet::full(6);
-        let order = dfs_order(&g, &alive, 0);
-        assert_eq!(order.len(), 6);
-        assert_eq!(order[0], 0);
-        // smallest neighbor first: 0 -> 1
-        assert_eq!(order[1], 1);
     }
 
     #[test]

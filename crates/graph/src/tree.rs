@@ -1,4 +1,4 @@
-//! Spanning and Steiner trees.
+//! Steiner trees.
 //!
 //! The span `σ = max_U |P(U)|/|Γ(U)|` (paper §1.4, eq. 1) needs the
 //! *smallest tree spanning a terminal set* — a minimum Steiner tree.
@@ -17,7 +17,6 @@ use crate::csr::CsrGraph;
 use crate::distance::{multi_source_bfs, UNREACHABLE};
 use crate::node::{Edge, NodeId};
 use crate::unionfind::UnionFind;
-use std::collections::VecDeque;
 
 /// A tree (or forest) embedded in a host graph: every edge is a host
 /// edge.
@@ -83,28 +82,6 @@ impl Tree {
     pub fn spans(&self, terminals: &[NodeId]) -> bool {
         terminals.iter().all(|&t| self.nodes.contains(t))
     }
-}
-
-/// BFS spanning tree of the region reachable from `root` within
-/// `alive`. Empty tree if `root` is dead.
-pub fn bfs_spanning_tree(g: &CsrGraph, alive: &NodeSet, root: NodeId) -> Tree {
-    let mut nodes = NodeSet::empty(g.num_nodes());
-    let mut edges = Vec::new();
-    if !alive.contains(root) {
-        return Tree { nodes, edges };
-    }
-    let mut queue = VecDeque::new();
-    nodes.insert(root);
-    queue.push_back(root);
-    while let Some(v) = queue.pop_front() {
-        for &w in g.neighbors(v) {
-            if alive.contains(w) && nodes.insert(w) {
-                edges.push(Edge::new(v, w));
-                queue.push_back(w);
-            }
-        }
-    }
-    Tree { nodes, edges }
 }
 
 /// Mehlhorn's 2-approximate Steiner tree for `terminals` within
@@ -441,16 +418,6 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::generators;
-
-    #[test]
-    fn bfs_tree_spans_component() {
-        let g = generators::cycle(8);
-        let alive = NodeSet::full(8);
-        let t = bfs_spanning_tree(&g, &alive, 0);
-        assert_eq!(t.num_nodes(), 8);
-        assert_eq!(t.num_edges(), 7);
-        assert!(t.validate(&g).is_ok());
-    }
 
     #[test]
     fn mehlhorn_two_terminals_is_shortest_path() {

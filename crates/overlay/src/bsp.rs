@@ -361,11 +361,6 @@ impl Bsp {
         }
     }
 
-    /// True while a churn recorder is attached.
-    pub fn is_recording(&self) -> bool {
-        self.recorder.is_some()
-    }
-
     /// Detaches and returns the recorder (if any).
     pub fn take_trace(&mut self) -> Option<ChurnTrace> {
         self.recorder.take().map(|b| *b)

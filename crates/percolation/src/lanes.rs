@@ -16,7 +16,8 @@
 //! the scalar path's per-trial RNG stream and then transposed, and
 //! both extractors compute the same exact largest-component integer,
 //! so per-trial γ — and therefore every aggregate — is bit-identical
-//! between `FXNET_MC_LANES=1` and `64`, at any thread count.
+//! at every lane width from 1 (the scalar path) to 64, at any thread
+//! count.
 
 use crate::sample::gamma_site_with;
 use fx_graph::bitset::transpose64;
@@ -39,36 +40,6 @@ pub(crate) static TRACE_SCALAR_TRIALS: Counter =
 // occupancy means the batch is paying 64-lane transposes for mostly
 // dead lanes (ragged tail or deeply subcritical p).
 static TRACE_LANE_OCCUPANCY: Histogram = Histogram::new(Target::Percolation, "mc_lane_occupancy");
-
-/// Lane-width resolution from the `FXNET_MC_LANES` environment
-/// override and a requested width (`[params] trial_batch`, or 0 for
-/// "engine default"). Pure logic behind [`resolve_lanes`], separated
-/// for tests.
-///
-/// The environment wins when set to a valid width — that is the whole
-/// point of the A/B knob: force `1` (scalar) or `64` (lane path)
-/// without editing specs. Invalid values are ignored. With neither
-/// source valid, the full [`MAX_LANES`] width applies.
-pub fn lanes_from(env: Option<&str>, requested: usize) -> usize {
-    if let Some(raw) = env {
-        if let Ok(v) = raw.trim().parse::<usize>() {
-            if (1..=MAX_LANES).contains(&v) {
-                return v;
-            }
-        }
-    }
-    if (1..=MAX_LANES).contains(&requested) {
-        requested
-    } else {
-        MAX_LANES
-    }
-}
-
-/// Resolved lane width for this process: `FXNET_MC_LANES` if set to
-/// `1..=64`, else `requested` if in `1..=64`, else 64.
-pub fn resolve_lanes(requested: usize) -> usize {
-    lanes_from(std::env::var("FXNET_MC_LANES").ok().as_deref(), requested)
-}
 
 /// A batch of up to 64 alive masks in trial-lane-major layout: one
 /// word per node, bit `t` = alive in trial lane `t`.
@@ -205,11 +176,6 @@ impl LaneCsr {
     /// Node universe this edge list was built for.
     pub fn universe(&self) -> usize {
         self.n
-    }
-
-    /// Number of edges whose redundancy guard is armed.
-    pub fn guarded_edges(&self) -> usize {
-        self.edges.iter().filter(|&&e| e & (1 << 31) != 0).count()
     }
 }
 
@@ -423,22 +389,6 @@ mod tests {
     use fx_graph::generators;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn lanes_from_resolution_rules() {
-        // env wins when valid
-        assert_eq!(lanes_from(Some("1"), 64), 1);
-        assert_eq!(lanes_from(Some("64"), 1), 64);
-        assert_eq!(lanes_from(Some(" 8 "), 0), 8);
-        // invalid env falls through to the request
-        assert_eq!(lanes_from(Some("0"), 4), 4);
-        assert_eq!(lanes_from(Some("65"), 4), 4);
-        assert_eq!(lanes_from(Some("lots"), 4), 4);
-        // no valid source → full width
-        assert_eq!(lanes_from(None, 0), MAX_LANES);
-        assert_eq!(lanes_from(None, 65), MAX_LANES);
-        assert_eq!(lanes_from(None, 32), 32);
-    }
 
     #[test]
     fn load_masks_transposes_membership() {

@@ -5,7 +5,7 @@
 //! random-fault experiments (Theorems 3.1/3.4) need `γ(p)` curves.
 //! This crate provides:
 //!
-//! * [`sample`] — site/bond dilution and the `γ` measure;
+//! * [`sample`] — site dilution and the site/bond `γ` measure;
 //! * [`newman_ziff`] — O(n·α(n)) whole-curve sweeps via union–find;
 //! * [`lanes`] — the bit-parallel engine: 64 trials per machine word
 //!   (lane-transposed masks + batched union-find), bit-identical to
@@ -37,14 +37,13 @@ pub mod sample;
 pub use critical::{estimate_critical, estimate_critical_cancelable, CriticalEstimate, Mode};
 pub use dilution::{critical_removal_fraction, crossing_fraction, gamma_removal_curve};
 pub use lanes::{
-    gamma_batch_with, gamma_lanes_guarded, gamma_lanes_with, gamma_trials_with, lanes_from,
-    resolve_lanes, LaneCsr, LaneScratch, LaneSet, MAX_LANES,
+    gamma_batch_with, gamma_lanes_guarded, gamma_lanes_with, gamma_trials_with, LaneCsr,
+    LaneScratch, LaneSet, MAX_LANES,
 };
 pub use montecarlo::{trial_seed, MonteCarlo, Stat};
 pub use newman_ziff::{
     bond_sweep, bond_sweep_with, site_sweep, site_sweep_ordered_with, site_sweep_with, SweepScratch,
 };
 pub use sample::{
-    gamma_bond, gamma_site, gamma_site_with, sample_alive_edges, sample_alive_nodes,
-    sample_alive_nodes_into,
+    gamma_bond, gamma_site, gamma_site_with, sample_alive_nodes, sample_alive_nodes_into,
 };

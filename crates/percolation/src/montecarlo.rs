@@ -10,9 +10,7 @@
 //! graph performs O(threads) arena allocations instead of O(t·n)
 //! (the A3 ablation bench measures the harness itself).
 
-use crate::lanes::{
-    gamma_batch_with, resolve_lanes, LaneCsr, LaneScratch, MAX_LANES, TRACE_SCALAR_TRIALS,
-};
+use crate::lanes::{gamma_batch_with, LaneCsr, LaneScratch, MAX_LANES, TRACE_SCALAR_TRIALS};
 use crate::newman_ziff::{bond_sweep_with, site_sweep_with, SweepScratch};
 use crate::sample::{gamma_site_with, sample_alive_nodes_into};
 use fx_graph::par::{par_map_init, resolve_threads, CancelToken};
@@ -111,12 +109,11 @@ impl MonteCarlo {
     /// `γ(keep)` for **site** percolation by direct resampling.
     ///
     /// Bernoulli masks are vectorizable, so this dispatches to the
-    /// bit-parallel lane engine ([`crate::lanes`]) at the
-    /// [`resolve_lanes`]-resolved width (64 unless `FXNET_MC_LANES`
-    /// overrides) — bit-identical to the scalar path by the engine's
-    /// determinism contract.
+    /// bit-parallel lane engine ([`crate::lanes`]) at the full
+    /// [`MAX_LANES`] width — bit-identical to the scalar path by the
+    /// engine's determinism contract.
     pub fn gamma_site_at(&self, g: &CsrGraph, keep: f64) -> Stat {
-        Stat::from_samples(&self.gamma_site_samples(g, keep, resolve_lanes(0)))
+        Stat::from_samples(&self.gamma_site_samples(g, keep, MAX_LANES))
     }
 
     /// Per-trial γ samples of [`MonteCarlo::gamma_site_at`], in trial
@@ -191,13 +188,9 @@ impl MonteCarlo {
         curve_stats(&curves, keeps, n, n)
     }
 
-    /// Whole `γ(keep)` **bond** curve (nodes always present).
-    pub fn gamma_bond_curve(&self, g: &CsrGraph, keeps: &[f64]) -> Vec<Stat> {
-        self.gamma_bond_curve_cancelable(g, keeps, &CancelToken::new())
-    }
-
-    /// [`MonteCarlo::gamma_bond_curve`] with cooperative cancellation
-    /// (same contract as the site variant).
+    /// Whole `γ(keep)` **bond** curve (nodes always present), with
+    /// cooperative cancellation (same contract as
+    /// [`MonteCarlo::gamma_site_curve_cancelable`]).
     pub fn gamma_bond_curve_cancelable(
         &self,
         g: &CsrGraph,
@@ -330,7 +323,7 @@ mod tests {
             threads: 1,
             base_seed: 5,
         };
-        let c = mc.gamma_bond_curve(&g, &[0.0, 1.0]);
+        let c = mc.gamma_bond_curve_cancelable(&g, &[0.0, 1.0], &CancelToken::new());
         assert!((c[1].mean - 1.0).abs() < 1e-12);
         assert!(c[0].mean < 0.1);
     }

@@ -1,9 +1,9 @@
-//! Percolation sampling primitives: site (node) and bond (edge)
-//! dilution, and the `γ` largest-component measure from the paper's
+//! Percolation sampling primitives: site (node) dilution, and the
+//! `γ` largest-component measure (site and bond) from the paper's
 //! §1.1.
 
 use fx_graph::components::largest_component;
-use fx_graph::{CsrGraph, GraphBuilder, NodeSet, Scratch};
+use fx_graph::{CsrGraph, NodeSet, Scratch};
 use rand::Rng;
 
 /// Site percolation sample: each node *survives* independently with
@@ -28,22 +28,6 @@ pub fn sample_alive_nodes_into<R: Rng + ?Sized>(
         *out = NodeSet::empty(n);
     }
     out.fill_random(keep, rng);
-}
-
-/// Bond percolation sample: each edge survives independently with
-/// probability `keep`. Returns the surviving subgraph (same node set).
-pub fn sample_alive_edges<R: Rng + ?Sized>(g: &CsrGraph, keep: f64, rng: &mut R) -> CsrGraph {
-    assert!(
-        (0.0..=1.0).contains(&keep),
-        "keep probability {keep} out of range"
-    );
-    let mut b = GraphBuilder::with_capacity(g.num_nodes(), g.num_edges());
-    for e in g.edges() {
-        if rng.gen_bool(keep) {
-            b.add_edge(e.u, e.v);
-        }
-    }
-    b.build()
 }
 
 /// `γ` for a site-percolated graph: largest-component fraction of the
@@ -93,13 +77,9 @@ mod tests {
 
     #[test]
     fn bond_extremes_and_gamma() {
-        let g = generators::cycle(10);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let full = sample_alive_edges(&g, 1.0, &mut rng);
-        assert_eq!(full.num_edges(), 10);
+        let full = generators::cycle(10);
         assert!((gamma_bond(&full) - 1.0).abs() < 1e-12);
-        let none = sample_alive_edges(&g, 0.0, &mut rng);
-        assert_eq!(none.num_edges(), 0);
+        let none = fx_graph::GraphBuilder::new(10).build();
         assert!((gamma_bond(&none) - 0.1).abs() < 1e-12); // singletons
     }
 

@@ -2,15 +2,14 @@
 //!
 //! The paper's algorithms are existential ("while ∃ S_i with …").
 //! Finding a minimum-expansion set is NP-hard, so we realize the
-//! oracle as a strategy hierarchy (ablation A1):
+//! oracle with two strategies, and `Auto` picks between them by size:
 //!
 //! * **Exact** — exhaustive enumeration, a *complete* oracle for small
 //!   alive sets: if it finds nothing, no qualifying cut exists and the
 //!   pruned graph's expansion is certified.
-//! * **Spectral** — Fiedler sweep (optionally + local refinement), a
+//! * **SpectralRefined** — Fiedler sweep plus local refinement, a
 //!   *sound but incomplete* oracle: anything it returns is a genuine
 //!   thin cut (witnessed), but a "none" answer is not a proof.
-//! * **GreedyBall** — BFS balls from random seeds, the cheap fallback.
 //!
 //! Disconnected alive sets short-circuit: any small component is a
 //! zero-boundary cut.
@@ -19,11 +18,8 @@ use fx_expansion::cut::Cut;
 use fx_expansion::exact::{exact_edge_expansion, exact_node_expansion, EXACT_MAX_NODES};
 use fx_expansion::local::{improve_cut, Objective};
 use fx_expansion::sweep::spectral_sweep;
-use fx_expansion::EigenMethod;
 use fx_graph::components::components;
-use fx_graph::traversal::bfs_ball;
 use fx_graph::{CsrGraph, NodeSet};
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Which expansion ratio a cut must violate to qualify for culling.
@@ -43,15 +39,8 @@ pub enum CutStrategy {
     Auto,
     /// Exhaustive enumeration only (refuses large graphs).
     Exact,
-    /// Fiedler sweep only.
-    Spectral,
     /// Fiedler sweep + FM refinement.
     SpectralRefined,
-    /// Random BFS balls (`tries` seeds), best prefix kept.
-    GreedyBall {
-        /// Number of random seeds to grow balls from.
-        tries: usize,
-    },
 }
 
 /// A cut the oracle proposes for culling, plus whether the oracle was
@@ -155,23 +144,14 @@ pub fn find_thin_cut<R: Rng + ?Sized>(
                 },
             }
         }
-        CutStrategy::Spectral | CutStrategy::SpectralRefined => {
-            let out = spectral_sweep(g, alive, EigenMethod::Lanczos, rng);
-            let raw = match objective {
-                CutObjective::Node => out.best_node,
-                CutObjective::Edge => out.best_edge,
+        CutStrategy::SpectralRefined => {
+            let out = spectral_sweep(g, alive, rng);
+            let (raw, obj) = match objective {
+                CutObjective::Node => (out.best_node, Objective::NodeRatio),
+                CutObjective::Edge => (out.best_edge, Objective::EdgeRatio),
             };
-            let refined = match (raw, strategy) {
-                (Some(c), CutStrategy::SpectralRefined) => {
-                    let obj = match objective {
-                        CutObjective::Node => Objective::NodeRatio,
-                        CutObjective::Edge => Objective::EdgeRatio,
-                    };
-                    Some(improve_cut(g, alive, c, obj, 4))
-                }
-                (c, _) => c,
-            };
-            let cut = refined
+            let cut = raw
+                .map(|c| improve_cut(g, alive, c, obj, 4))
                 .map(|c| match objective {
                     CutObjective::Edge => best_connected_part(g, alive, c),
                     CutObjective::Node => c,
@@ -179,32 +159,6 @@ pub fn find_thin_cut<R: Rng + ?Sized>(
                 .filter(qualifies);
             OracleAnswer {
                 cut,
-                complete: false,
-            }
-        }
-        CutStrategy::GreedyBall { tries } => {
-            let mut best: Option<Cut> = None;
-            let nodes: Vec<u32> = alive.to_vec();
-            for _ in 0..tries {
-                let &seed = nodes.choose(rng).expect("nonempty alive");
-                // grow to a random target ≤ half
-                let target = rng.gen_range(1..=(n_alive / 2).max(1));
-                let ball = bfs_ball(g, alive, seed, target);
-                if ball.is_empty() || 2 * ball.len() > n_alive {
-                    continue;
-                }
-                let c = Cut::measure(g, alive, ball);
-                let better = match (&best, objective) {
-                    (None, _) => true,
-                    (Some(b), CutObjective::Node) => c.node_ratio() < b.node_ratio(),
-                    (Some(b), CutObjective::Edge) => c.edge_ratio() < b.edge_ratio(),
-                };
-                if better {
-                    best = Some(c);
-                }
-            }
-            OracleAnswer {
-                cut: best.filter(qualifies),
                 complete: false,
             }
         }
@@ -319,26 +273,6 @@ mod tests {
         let c = a.cut.expect("bridge cut");
         assert_eq!(c.edge_cut, 1);
         assert_eq!(c.size(), 20);
-    }
-
-    #[test]
-    fn greedy_ball_finds_arc_on_cycle() {
-        let g = generators::cycle(60);
-        let alive = NodeSet::full(60);
-        let mut rng = SmallRng::seed_from_u64(4);
-        let a = find_thin_cut(
-            &g,
-            &alive,
-            CutObjective::Node,
-            0.5,
-            CutStrategy::GreedyBall { tries: 30 },
-            &mut rng,
-        );
-        // any BFS ball on a cycle is an arc: boundary 2, so a ball of
-        // ≥ 4 nodes qualifies at threshold 0.5
-        let c = a.cut.expect("arc");
-        assert!(c.node_ratio() <= 0.5);
-        assert!(!a.complete);
     }
 
     #[test]

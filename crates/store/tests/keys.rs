@@ -10,8 +10,8 @@
 //! * **No false splitting** — the *same* cell declared through two
 //!   different spec files (different campaign name, different grid
 //!   structure, different operational knobs like `retries` /
-//!   `timeout_ms` / `trial_batch`, extra unrelated cells) must map to
-//!   one key, or the store never dedups anything.
+//!   `timeout_ms`, extra unrelated cells) must map to one key, or the
+//!   store never dedups anything.
 //!
 //! The matrix sweep at the bottom runs the no-false-splitting check
 //! exhaustively over every algorithm × a representative compatible
@@ -80,13 +80,13 @@ fn each_result_affecting_param_splits_keys() {
             "param block {params:?} must change the key"
         );
     }
-    // churn_curves is result-affecting for overlay churn cells.
+    // churn_curves is part of the identity of overlay churn cells.
     let dyncon = single("overlay:2,64,churn=50", "none", "expansion-cert", "");
     let oracle = single(
         "overlay:2,64,churn=50",
         "none",
         "expansion-cert",
-        "[params]\nchurn_curves = \"off\"\n",
+        "[params]\nchurn_curves = \"oracle\"\n",
     );
     assert_ne!(
         store_key(&dyncon.0, &dyncon.1),
@@ -200,11 +200,11 @@ fn same_cell_through_two_spec_files_is_one_key_across_the_accepts_matrix() {
         ));
         // Spec file B: different campaign name, the cell declared
         // through a grid table, different *operational* knobs
-        // (retries / timeout_ms / trial_batch / store), and an extra
+        // (retries / timeout_ms / store), and an extra
         // unrelated grid — none of which may move the key.
         let b = spec(&format!(
             "name = \"matrix-b-{algo}\"\nreplicates = 1\nseed = 9\n\
-             [params]\nretries = 5\ntimeout_ms = 60000\ntrial_batch = 8\n\
+             [params]\nretries = 5\ntimeout_ms = 60000\n\
              store = \"/tmp/fx-keys-unused\"\n\
              [grid-main]\ngraphs = [\"{graph}\"]\nfaults = [\"{fault}\"]\n\
              algorithms = [\"{algo}\"]\n\

@@ -544,56 +544,6 @@ pub fn take_snapshot() -> Snapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Span statistics
-// ---------------------------------------------------------------------------
-
-/// Aggregated statistics for one span name.
-#[derive(Debug, Clone)]
-pub struct SpanStat {
-    /// The span's subsystem.
-    pub target: Target,
-    /// The span's name.
-    pub name: &'static str,
-    /// Number of completed spans.
-    pub count: u64,
-    /// Total duration across all spans, nanoseconds.
-    pub total_ns: u64,
-    /// Shortest span, nanoseconds.
-    pub min_ns: u64,
-    /// Longest span, nanoseconds.
-    pub max_ns: u64,
-}
-
-/// Aggregates span events by `(target, name)`, sorted by descending
-/// total duration.
-pub fn span_stats(spans: &[SpanEvent]) -> Vec<SpanStat> {
-    let mut stats: Vec<SpanStat> = Vec::new();
-    for e in spans {
-        match stats
-            .iter_mut()
-            .find(|s| s.target == e.target && s.name == e.name)
-        {
-            Some(s) => {
-                s.count += 1;
-                s.total_ns += e.dur_ns;
-                s.min_ns = s.min_ns.min(e.dur_ns);
-                s.max_ns = s.max_ns.max(e.dur_ns);
-            }
-            None => stats.push(SpanStat {
-                target: e.target,
-                name: e.name,
-                count: 1,
-                total_ns: e.dur_ns,
-                min_ns: e.dur_ns,
-                max_ns: e.dur_ns,
-            }),
-        }
-    }
-    stats.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
-    stats
-}
-
-// ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
 
@@ -811,26 +761,6 @@ mod tests {
         let again = take_snapshot();
         assert!(again.counters.is_empty() && again.hists.is_empty());
         reset();
-    }
-
-    #[test]
-    fn span_stats_aggregate() {
-        let mk = |name, dur| SpanEvent {
-            id: 1,
-            parent: 0,
-            target: Target::Cell,
-            name,
-            tid: 1,
-            start_ns: 0,
-            dur_ns: dur,
-        };
-        let stats = span_stats(&[mk("a", 10), mk("b", 100), mk("a", 30)]);
-        assert_eq!(stats[0].name, "b");
-        assert_eq!(stats[1].name, "a");
-        assert_eq!(stats[1].count, 2);
-        assert_eq!(stats[1].total_ns, 40);
-        assert_eq!(stats[1].min_ns, 10);
-        assert_eq!(stats[1].max_ns, 30);
     }
 
     #[test]

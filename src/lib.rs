@@ -83,35 +83,11 @@
 //!
 //! ### Campaign spec reference
 //!
-//! Specs are a small TOML subset (see [`campaign::toml`]):
-//!
-//! * **axes** — `graphs` (plain families `torus:16,16`, `mesh:8,8,8`,
-//!   `hypercube:10`, `butterfly:8`, `debruijn:10`,
-//!   `shuffle-exchange:10`, `margulis:32`, `random-regular:1024,4`,
-//!   `cycle:100`, `complete:64`, plus the derived scenario sources
-//!   `subdivided:n,d,k` — Theorem 2.3's chain-subdivided expander,
-//!   carrying its chain bookkeeping — and
-//!   `overlay:dim,n[,churn=ops]` — a §4 CAN overlay churned
-//!   deterministically from the cell seed), `faults` (`none`,
-//!   `random:p`, `random-exact:f`, `adversarial:k`, `degree:k`,
-//!   `chain-centers[:f]`), `algorithms` (`prune`, `prune2`,
-//!   `percolation`, `span`, `expansion-cert`, `shatter`, `dissect`,
-//!   `diameter`, `compact-audit`, `routing`, `load-balance`,
-//!   `embed`, `subgraph-count`), and `replicates`; experiments whose sub-grids are not
-//!   one cross product declare several `[grid-…]` tables;
-//! * **execution** — `seed` (master seed; each cell derives a
-//!   deterministic seed from its identity), `output` (artifact
-//!   directory);
-//! * **`[params]`** — `k` (Thm 2.1), `epsilon` (Prune2 ε; defaults to
-//!   the Thm 3.4 ceiling `1/(2δ)`; also the Thm 2.5 dissection piece
-//!   fraction), `sigma`, `trials`, `samples`, `gamma`, `grid`,
-//!   `mode` (`site`/`bond`), `timeout_ms` (per-cell wall-clock
-//!   budget; a cell past it is cancelled cooperatively and journaled
-//!   with a `timed_out = 1` marker).
-//!
-//! Invalid grid points (e.g. `prune2` × `adversarial:k`, or
-//! `chain-centers` on a non-subdivided scenario) are rejected when
-//! the spec is parsed, before any cell runs.
+//! The spec grammar — axes, `[grid-…]` tables, and every `[params]`
+//! key with its default and valid range — is tabulated once, in
+//! [fx-campaign's spec reference](campaign#spec-reference). Invalid
+//! grid points and out-of-range values are rejected when the spec is
+//! parsed, before any cell runs.
 //!
 //! Campaigns also shard across machines: cell keys are
 //! machine-independent, so `fxnet campaign run --shard i/m` on `m`
@@ -139,11 +115,11 @@ pub mod prelude {
         BuiltScenario, Family, Network, Scenario, MESH_SPAN,
     };
     pub use fx_expansion::{
-        edge_expansion_bounds, node_expansion_bounds, spectral_sweep, Cut, Effort, EigenMethod,
+        edge_expansion_bounds, node_expansion_bounds, spectral_sweep, Cut, Effort,
     };
     pub use fx_faults::{
-        apply_faults, BestOfAdversary, ChainCenterAdversary, DegreeAdversary, ExactRandomFaults,
-        FaultModel, HyperplaneAdversary, RandomNodeFaults, SparseCutAdversary,
+        apply_faults, ChainCenterAdversary, DegreeAdversary, ExactRandomFaults, FaultModel,
+        RandomNodeFaults, SparseCutAdversary,
     };
     pub use fx_graph::{generators, CsrGraph, GraphBuilder, NodeId, NodeSet, SubView};
     pub use fx_overlay::Overlay;

@@ -137,7 +137,7 @@ fn congestion_and_sparse_cut_agree_on_bottleneck() {
     let alive = NodeSet::full(n);
     let mut rng = SmallRng::seed_from_u64(5);
 
-    let sweep = spectral_sweep(&g, &alive, EigenMethod::Lanczos, &mut rng);
+    let sweep = spectral_sweep(&g, &alive, &mut rng);
     let cut = sweep.best_edge.expect("barbell has a thin cut");
     assert_eq!(cut.edge_cut, 1, "sweep must find the bridge");
 

@@ -290,23 +290,45 @@ grid = 16
     }
 }
 
+/// Every `specs/*.toml` parses and expands, read from the directory:
+/// a spec that still sets a key the grammar no longer has fails here.
 #[test]
 fn bundled_specs_parse_and_expand() {
-    for (path, expected_grids) in [
-        ("specs/random_faults.toml", 1usize),
-        ("specs/span.toml", 1),
-        ("specs/quick.toml", 1),
-        ("specs/quick_derived.toml", 2),
-        ("specs/adversarial.toml", 3),
-        ("specs/structure.toml", 2),
-        ("specs/emulation.toml", 3),
-        ("specs/overlay_churn.toml", 2),
-        ("specs/targeted_faults.toml", 4),
-        ("specs/critical_site.toml", 1),
-        ("specs/critical_bond.toml", 1),
-        ("specs/counting.toml", 1),
-    ] {
-        let spec = CampaignSpec::load(std::path::Path::new(path)).unwrap();
+    // grids per bundled spec, by file stem; the directory must list
+    // exactly these, so a new spec cannot skip the grid count
+    const EXPECTED_GRIDS: &[(&str, usize)] = &[
+        ("adversarial", 3),
+        ("chaos_demo", 1),
+        ("churn_curves", 2),
+        ("counting", 1),
+        ("critical_bond", 1),
+        ("critical_site", 1),
+        ("emulation", 3),
+        ("overlay_churn", 2),
+        ("overlay_scale", 3),
+        ("quick", 1),
+        ("quick_derived", 2),
+        ("random_faults", 1),
+        ("span", 1),
+        ("structure", 2),
+        ("targeted_faults", 4),
+        ("timeout_demo", 2),
+    ];
+    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir("specs")
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .collect();
+    paths.sort();
+    let stems: Vec<String> = paths
+        .iter()
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    let listed: Vec<&str> = EXPECTED_GRIDS.iter().map(|&(s, _)| s).collect();
+    assert_eq!(stems, listed, "specs/*.toml vs the expected grid counts");
+    for (path, &(_, expected_grids)) in paths.iter().zip(EXPECTED_GRIDS) {
+        let spec = CampaignSpec::load(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let path = path.display();
         assert_eq!(spec.grids.len(), expected_grids, "{path}");
         let cells = expand(&spec).unwrap();
         assert!(!cells.is_empty(), "{path}");

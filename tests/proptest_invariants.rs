@@ -243,7 +243,7 @@ proptest! {
         let g = build(n, &pairs);
         let alive = NodeSet::full(n);
         let mut rng = SmallRng::seed_from_u64(13);
-        let out = spectral_sweep(&g, &alive, EigenMethod::Lanczos, &mut rng);
+        let out = spectral_sweep(&g, &alive, &mut rng);
         if let Some(c) = out.best_node {
             prop_assert!(c.verify(&g, &alive));
         }
