@@ -1,22 +1,27 @@
-//! The campaign engine: expand → (skip journaled) → execute on the
-//! work-stealing pool → journal → aggregate → emit artifacts.
+//! The campaign engine: expand → (skip journaled) → execute cells in
+//! parallel ([`par_map`]) → journal → aggregate → emit artifacts.
 //!
 //! `run` and `resume` are the same operation — a run that finds
 //! journaled cells skips them, so resuming after a kill (or growing a
-//! spec with new axis values) only pays for missing cells.
+//! spec with new axis values) only pays for missing cells. A journal
+//! record matches a cell by its store key
+//! ([`store_key`](crate::store_key::store_key)), so a record made with
+//! another seed or other params never stands in for the cell, and
+//! records of cells outside the grid are never aggregated.
 
 use crate::agg::{aggregate, GroupAggregate};
 use crate::exec::{run_cell_resilient, CellResult};
 use crate::grid::{expand, Cell};
-use crate::journal::Journal;
+use crate::journal::{Journal, LoadReport};
 use crate::spec::CampaignSpec;
+use crate::store_key::store_key;
 use crate::table::{f as fmt_f, write_csv, Table};
-use fx_graph::par::Pool;
+use fx_graph::par::par_map;
 use fx_trace::{Span, Target};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Execution options for one `run`/`resume` invocation.
 #[derive(Debug, Clone, Default)]
@@ -57,8 +62,8 @@ pub struct RunSummary {
     /// after this invocation (quarantined cells keep a campaign
     /// incomplete: they re-run on resume).
     pub complete: bool,
-    /// Quarantined cells in the journal (`failed = 1` records whose
-    /// key has no successful record).
+    /// Quarantined grid cells in the journal (`failed = 1` records
+    /// whose key has no successful record).
     pub failed: usize,
     /// Total extra execution attempts recorded in the journal (the
     /// sum of `attempts − 1`; 0 for a chaos-free history).
@@ -69,7 +74,7 @@ pub struct RunSummary {
     /// (`cache_hit = 1`) rather than recomputed. 0 unless
     /// `[params] store` is set.
     pub cache_hits: usize,
-    /// Aggregates over all journaled results.
+    /// Aggregates over the grid's journaled results.
     pub aggregates: Vec<GroupAggregate>,
     /// Files written (journal + artifacts).
     pub artifacts: Vec<PathBuf>,
@@ -102,10 +107,36 @@ pub fn journal_for(spec: &CampaignSpec, opts: &RunOptions) -> Journal {
     Journal::new(output_dir(spec, opts).join("journal.jsonl"))
 }
 
+/// The journal's record of each cell (`keys[i]` is cell `i`'s store
+/// key), `None` where it holds none.
+fn grid_records<'a>(loaded: &'a LoadReport, keys: &[u64]) -> Vec<Option<&'a CellResult>> {
+    let by_key: HashMap<u64, &CellResult> =
+        loaded.keys.iter().copied().zip(&loaded.results).collect();
+    keys.iter().map(|k| by_key.get(k).copied()).collect()
+}
+
+/// Cells with a successful record.
+fn count_ok(records: &[Option<&CellResult>]) -> usize {
+    records.iter().flatten().filter(|r| r.failed == 0).count()
+}
+
+/// The `slow` chaos site: with `FXNET_CHAOS=slow:p[,ms]` the `i`-th
+/// pending cell is delayed by the configured latency before it runs —
+/// straggler injection that perturbs the schedule without touching any
+/// result. Off path: one relaxed atomic load.
+fn chaos_slow(i: usize) {
+    if fx_chaos::enabled(fx_chaos::Site::Slow)
+        && fx_chaos::should_fire(fx_chaos::Site::Slow, i as u64, 0)
+    {
+        std::thread::sleep(Duration::from_millis(fx_chaos::slow_ms()));
+    }
+}
+
 /// Runs (or resumes) a campaign: executes every non-journaled cell,
 /// then aggregates and writes artifacts.
 pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String> {
     let cells = shard_cells(expand(spec)?, opts)?;
+    let keys: Vec<u64> = cells.iter().map(|c| store_key(spec, c)).collect();
     let journal = journal_for(spec, opts);
     // `[params] store`: open (or create) the shared content-addressed
     // result store. Opening recovers crash-safely — corrupt entries
@@ -119,30 +150,18 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
         None => None,
     };
     let loaded = journal.load_report()?;
-    let existing = loaded.results;
+    let records = grid_records(&loaded, &keys);
     // only successful records count as done: quarantined cells re-run
     // like unseen cells, with their cumulative attempt count carried
     // forward so the deterministic chaos decisions keep advancing
-    let done: HashSet<&str> = existing
+    let mut pending: Vec<(&Cell, u64, u64)> = cells
         .iter()
-        .filter(|r| r.failed == 0)
-        .map(|r| r.key.as_str())
+        .zip(&keys)
+        .zip(&records)
+        .filter(|(_, record)| record.is_none_or(|r| r.failed != 0))
+        .map(|((cell, &key), record)| (cell, key, record.map_or(0, |r| r.attempts)))
         .collect();
-    let base_attempts: HashMap<&str, u64> = existing
-        .iter()
-        .filter(|r| r.failed != 0)
-        .map(|r| (r.key.as_str(), r.attempts))
-        .collect();
-
-    let mut pending: Vec<(&Cell, u64)> = cells
-        .iter()
-        .filter(|c| !done.contains(c.key().as_str()))
-        .map(|c| {
-            let base = base_attempts.get(c.key().as_str()).copied().unwrap_or(0);
-            (c, base)
-        })
-        .collect();
-    let skipped = cells.len() - pending.len();
+    let skipped = count_ok(&records);
     if let Some(limit) = opts.limit {
         pending.truncate(limit);
     }
@@ -163,71 +182,60 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
         // salt the writer's io_error chaos decisions with the current
         // journal population: a resume draws fresh decisions for the
         // cells a previous run failed to append
-        let writer = journal.appender_with(spec.params.retries, existing.len() as u64)?;
-        // one resolved thread count for the whole run (0 = the
-        // FXNET_THREADS / core-count default)
-        let threads = fx_graph::par::resolve_threads(opts.threads);
-        // One cell per steal: cells are coarse units (whole analyses),
-        // so batching would only hurt balance and coarsen the
-        // checkpoint granularity.
-        let pool = Pool { threads, batch: 1 };
+        let writer = journal.appender_with(spec.params.retries, loaded.results.len() as u64)?;
         let append_failures = AtomicUsize::new(0);
         let served = AtomicUsize::new(0);
         let heartbeat = Heartbeat::new(executed);
-        pool.for_each(
-            executed,
-            (
-                |i: usize| {
-                    let (cell, base) = pending[i];
-                    if let Some(store) = &store {
-                        if let Some(hit) = store_lookup(store, spec, cell) {
-                            served.fetch_add(1, Ordering::Relaxed);
-                            return hit;
-                        }
-                    }
+        // one resolved thread count for the whole run (0 = the
+        // FXNET_THREADS / core-count default); each cell is journaled
+        // as soon as it finishes, so a kill loses only cells in flight
+        let threads = fx_graph::par::resolve_threads(opts.threads);
+        par_map(executed, threads, |i| {
+            let (cell, key, base) = pending[i];
+            chaos_slow(i);
+            let hit = store.as_ref().and_then(|s| store_lookup(s, cell, key));
+            let result = match hit {
+                Some(hit) => {
+                    served.fetch_add(1, Ordering::Relaxed);
+                    hit
+                }
+                None => {
                     let result = run_cell_resilient(spec, cell, base);
+                    // memoize clean successes only: quarantined or
+                    // timed-out cells must never be served to a
+                    // campaign that might complete them. A failed
+                    // publish (disk full, chaos) is non-fatal — the
+                    // result just stays unmemoized.
                     if let Some(store) = &store {
-                        // memoize clean successes only: quarantined or
-                        // timed-out cells must never be served to a
-                        // campaign that might complete them. A failed
-                        // publish (disk full, chaos) is non-fatal —
-                        // the result just stays unmemoized.
                         if result.failed == 0 && result.metric("timed_out").is_none() {
-                            let _ = store.put(
-                                crate::store_key::store_key(spec, cell),
-                                &fx_json::to_string(&result),
-                            );
+                            let _ = store.put(key, &fx_json::to_string(&result));
                         }
                     }
                     result
-                },
-                |_first: usize, batch: Vec<(usize, CellResult)>| {
-                    for (_, result) in batch {
-                        let timed_out = result.metric("timed_out").is_some();
-                        let failed = result.failed != 0;
-                        if !opts.quiet {
-                            let mark = match (failed, timed_out) {
-                                (true, _) => " FAILED",
-                                (false, true) => " TIMEOUT",
-                                (false, false) => "",
-                            };
-                            eprintln!("  done {:<48} [{:.0} ms]{mark}", result.key, result.wall_ms);
-                            if failed {
-                                eprintln!("       quarantined: {}", result.error);
-                            }
-                        }
-                        if let Err(e) = writer.append(&result) {
-                            // non-fatal: the cell's record is lost, so
-                            // it re-runs on resume — degrading one
-                            // cell must not kill the whole campaign
-                            append_failures.fetch_add(1, Ordering::Relaxed);
-                            eprintln!("campaign: dropping result for {}: {e}", result.key);
-                        }
-                        heartbeat.cell_done(timed_out, failed, opts.quiet);
-                    }
-                },
-            ),
-        );
+                }
+            };
+            let timed_out = result.metric("timed_out").is_some();
+            let failed = result.failed != 0;
+            if !opts.quiet {
+                let mark = match (failed, timed_out) {
+                    (true, _) => " FAILED",
+                    (false, true) => " TIMEOUT",
+                    (false, false) => "",
+                };
+                eprintln!("  done {:<48} [{:.0} ms]{mark}", result.key, result.wall_ms);
+                if failed {
+                    eprintln!("       quarantined: {}", result.error);
+                }
+            }
+            if let Err(e) = writer.append(key, &result) {
+                // non-fatal: the cell's record is lost, so it re-runs
+                // on resume — degrading one cell must not kill the
+                // whole campaign
+                append_failures.fetch_add(1, Ordering::Relaxed);
+                eprintln!("campaign: dropping result for {}: {e}", result.key);
+            }
+            heartbeat.cell_done(timed_out, failed, opts.quiet);
+        });
         drop(run_span);
         let append_failures = append_failures.into_inner();
         if append_failures > 0 {
@@ -250,26 +258,23 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
     // reload so aggregation sees exactly what is durable on disk,
     // including the cells this invocation just appended
     let reloaded = journal.load_report()?;
-    let mut summary = finish(spec, opts, &journal, &reloaded, &cells, skipped, executed)?;
+    let mut summary = finish(spec, opts, &journal, &reloaded, &keys, skipped, executed)?;
     summary
         .artifacts
         .extend(write_trace_artifacts(&output_dir(spec, opts), opts.quiet)?);
     Ok(summary)
 }
 
-/// Consults the content-addressed store for `cell`. A hit is decoded,
-/// re-labeled with *this* campaign's cell identity (the store key is
-/// canonical across spec files, so the stored `graph` spelling may
-/// differ from ours while naming the same scenario), and marked
-/// `cache_hit = 1`. Anything suspect — undecodable payload, a failed
-/// or timed-out record that should never have been published — is
-/// treated as a miss and recomputed, never served.
-pub(crate) fn store_lookup(
-    store: &fx_store::Store,
-    spec: &CampaignSpec,
-    cell: &Cell,
-) -> Option<CellResult> {
-    let payload = store.get(crate::store_key::store_key(spec, cell))?;
+/// Consults the content-addressed store for `cell` under its store
+/// `key`. A hit is decoded, re-labeled with *this* campaign's cell
+/// identity (the store key is canonical across spec files, so the
+/// stored `graph` spelling may differ from ours while naming the same
+/// scenario), and marked `cache_hit = 1`. Anything suspect —
+/// undecodable payload, a failed or timed-out record that should never
+/// have been published — is treated as a miss and recomputed, never
+/// served.
+pub(crate) fn store_lookup(store: &fx_store::Store, cell: &Cell, key: u64) -> Option<CellResult> {
+    let payload = store.get(key)?;
     let mut result: CellResult = fx_json::from_str(&payload).ok()?;
     if result.failed != 0 || result.metric("timed_out").is_some() {
         return None;
@@ -372,47 +377,37 @@ fn write_trace_artifacts(dir: &std::path::Path, quiet: bool) -> Result<Vec<PathB
 /// anything.
 pub fn report(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String> {
     let cells = shard_cells(expand(spec)?, opts)?;
+    let keys: Vec<u64> = cells.iter().map(|c| store_key(spec, c)).collect();
     let journal = journal_for(spec, opts);
     let loaded = journal.load_report()?;
-    let done: HashSet<&str> = loaded
-        .results
-        .iter()
-        .filter(|r| r.failed == 0)
-        .map(|r| r.key.as_str())
-        .collect();
-    let skipped = cells
-        .iter()
-        .filter(|c| done.contains(c.key().as_str()))
-        .count();
-    finish(spec, opts, &journal, &loaded, &cells, skipped, 0)
+    let skipped = count_ok(&grid_records(&loaded, &keys));
+    finish(spec, opts, &journal, &loaded, &keys, skipped, 0)
 }
 
-/// Shared tail of `run`/`report`: aggregate the journaled results
-/// deterministically and emit artifacts. `loaded` holds the loaded
-/// journal contents — always the durable on-disk records (never
+/// Shared tail of `run`/`report`: aggregate the grid's journaled
+/// results deterministically and emit artifacts. `loaded` holds the
+/// loaded journal contents — always the durable on-disk records (never
 /// in-memory `CellResult`s that skipped the serialization round
 /// trip), which is what makes interrupted and uninterrupted histories
-/// aggregate bit-identically.
+/// aggregate bit-identically. Only the records of the grid's cells
+/// (`keys`) count, in aggregates and tallies alike.
 fn finish(
     spec: &CampaignSpec,
     opts: &RunOptions,
     journal: &Journal,
-    loaded: &crate::journal::LoadReport,
-    cells: &[Cell],
+    loaded: &LoadReport,
+    keys: &[u64],
     skipped: usize,
     executed: usize,
 ) -> Result<RunSummary, String> {
-    let results = &loaded.results;
-    let total_cells = cells.len();
-    let aggregates = aggregate(results);
+    let records = grid_records(loaded, keys);
+    let results: Vec<CellResult> = records.iter().flatten().map(|&r| r.clone()).collect();
+    let total_cells = keys.len();
+    let aggregates = aggregate(&results);
     // health tallies come from the durable journal, so `run` and
     // `report --health` agree by construction
-    let ok_keys: HashSet<&str> = results
-        .iter()
-        .filter(|r| r.failed == 0)
-        .map(|r| r.key.as_str())
-        .collect();
-    let complete = cells.iter().all(|c| ok_keys.contains(c.key().as_str()));
+    let ok_cells = count_ok(&records);
+    let complete = ok_cells == total_cells;
     let failed = results.iter().filter(|r| r.failed != 0).count();
     let retried: u64 = results.iter().map(|r| r.attempts.saturating_sub(1)).sum();
     let corrupt = loaded.corrupt;
@@ -431,15 +426,11 @@ fn finish(
         .map_err(|e| format!("writing JSON: {e}"))?;
 
     if opts.timing {
-        timing_table(spec, results).print();
+        timing_table(spec, &results).print();
     }
     if opts.health {
-        health_table(spec, results, corrupt).print();
+        health_table(spec, &results, corrupt).print();
     }
-    let ok_cells = cells
-        .iter()
-        .filter(|c| ok_keys.contains(c.key().as_str()))
-        .count();
     if opts.health || (!opts.quiet && (failed > 0 || retried > 0 || corrupt > 0)) {
         // one greppable line — the chaos-soak CI job and operators
         // watching a fleet both key off it
@@ -614,21 +605,26 @@ fn aggregates_json(aggregates: &[GroupAggregate]) -> fx_json::Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
-    fn spec_in(dir: &std::path::Path) -> CampaignSpec {
-        let mut spec = CampaignSpec::parse(
-            r#"
+    const ENGINE_TEST: &str = r#"
 name = "engine-test"
 seed = 5
 replicates = 2
 graphs = ["torus:5,5", "cycle:16"]
 faults = ["none", "random-exact:3"]
 algorithms = ["expansion-cert"]
-"#,
-        )
-        .unwrap();
+"#;
+
+    /// The campaign `text`, writing into `dir`.
+    fn parse_in(text: &str, dir: &Path) -> CampaignSpec {
+        let mut spec = CampaignSpec::parse(text).unwrap();
         spec.output = dir.to_path_buf();
         spec
+    }
+
+    fn spec_in(dir: &Path) -> CampaignSpec {
+        parse_in(ENGINE_TEST, dir)
     }
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -836,6 +832,79 @@ timeout_ms = 50
         assert_eq!(cycle.metric("timed_out"), None, "fast cell unaffected");
         assert_eq!(cycle.metric("exhaustive"), Some(1.0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn quiet(threads: usize) -> RunOptions {
+        RunOptions {
+            threads,
+            quiet: true,
+            ..Default::default()
+        }
+    }
+
+    /// Runs the campaign `text`, then `changed` into the same
+    /// directory, and checks that the second run re-executes every
+    /// cell and aggregates exactly like a fresh run of `changed`.
+    fn assert_change_reruns_every_cell(name: &str, text: &str, changed: &str) {
+        let dir = temp_dir(name);
+        let fresh_dir = temp_dir(&format!("{name}-fresh"));
+        let first = run(&parse_in(text, &dir), &quiet(2)).unwrap();
+        let rerun = run(&parse_in(changed, &dir), &quiet(2)).unwrap();
+        assert_eq!((rerun.skipped, rerun.executed), (0, first.total_cells));
+        let fresh = run(&parse_in(changed, &fresh_dir), &quiet(1)).unwrap();
+        assert_ne!(
+            first.aggregates, fresh.aggregates,
+            "the change moves results"
+        );
+        assert_eq!(rerun.aggregates, fresh.aggregates);
+        let reported = report(&parse_in(changed, &dir), &quiet(1)).unwrap();
+        assert_eq!(reported.aggregates, fresh.aggregates);
+        for d in [&dir, &fresh_dir] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+
+    /// A record journaled under another campaign seed is another
+    /// cell's: it never stands in for a cell of this seed.
+    #[test]
+    fn seed_change_reruns_every_cell() {
+        let reseeded = ENGINE_TEST.replace("seed = 5", "seed = 999");
+        assert_change_reruns_every_cell("reseed", ENGINE_TEST, &reseeded);
+    }
+
+    /// Likewise for a record made with another result-affecting
+    /// parameter (Theorem 2.1's `k` here).
+    #[test]
+    fn param_change_reruns_every_cell() {
+        let text = ENGINE_TEST.replace("expansion-cert", "prune");
+        let changed = format!("{text}[params]\nk = 3.0\n");
+        assert_change_reruns_every_cell("param-k", &text, &changed);
+    }
+
+    /// Records of cells the grid no longer holds are neither counted
+    /// nor aggregated, by `report` or by `run`.
+    #[test]
+    fn shrunk_grid_aggregates_only_its_own_cells() {
+        let dir = temp_dir("shrunk");
+        run(&spec_in(&dir), &quiet(2)).unwrap();
+        let shrink = |dir: &Path| {
+            let mut spec = spec_in(dir);
+            spec.grids[0].graphs.retain(|g| g != "cycle:16");
+            spec
+        };
+        let fresh_dir = temp_dir("shrunk-fresh");
+        let fresh = run(&shrink(&fresh_dir), &quiet(1)).unwrap();
+        assert!(fresh.aggregates.iter().all(|a| !a.group.contains("cycle")));
+        let reported = report(&shrink(&dir), &quiet(1)).unwrap();
+        assert_eq!((reported.total_cells, reported.skipped), (4, 4));
+        assert!(reported.complete);
+        assert_eq!(reported.aggregates, fresh.aggregates);
+        let rerun = run(&shrink(&dir), &quiet(2)).unwrap();
+        assert_eq!((rerun.skipped, rerun.executed), (4, 0));
+        assert_eq!(rerun.aggregates, fresh.aggregates);
+        for d in [&dir, &fresh_dir] {
+            let _ = std::fs::remove_dir_all(d);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cell execution: one [`Cell`] in, one [`CellResult`] out.
 //!
 //! Every cell is computed from its own deterministic seed with
-//! single-threaded inner analyses (the campaign pool parallelizes
+//! single-threaded inner analyses (the campaign engine parallelizes
 //! *across* cells), so a cell's metrics are a pure function of
 //! `(spec params, cell identity, campaign seed)` — the property the
 //! resume machinery and the determinism integration test rely on.
@@ -91,9 +91,10 @@ pub struct CellResult {
 }
 
 // `phase_ms` and the quarantine fields are in the `default` block so
-// journals written before them existed still load (resume must never
-// orphan paid-for cells). Absent quarantine fields decode as a clean
-// first-try success (`failed = 0`, `attempts = 0`).
+// records written before them existed still decode: a keyless journal
+// line of any age reads as a record to skip, not as corruption.
+// Absent quarantine fields decode as a clean first-try success
+// (`failed = 0`, `attempts = 0`).
 fx_json::impl_json_object!(CellResult {
     key,
     graph,

@@ -2,14 +2,19 @@
 //! cells complete, so a killed campaign loses at most the cells that
 //! were mid-flight — `resume` skips everything already on disk.
 //!
-//! The journal is a keyless [`fx_store::log`] record log, which owns
-//! the line format (`{"crc":"…","cell":{…}}`), crash recovery (torn
-//! tail ignored and truncated, corrupt lines skipped and counted),
-//! append retries and the `FXNET_JOURNAL_SYNC` fsync window. A
-//! skipped cell simply re-runs on resume, like an unseen cell. This
-//! module adds what is particular to the journal:
-//! * pre-checksum journals (plain records) still load, so old
-//!   campaigns resume unchanged;
+//! The journal is a keyed [`fx_store::log`] record log: each line
+//! carries its cell's [`store_key`](crate::store_key::store_key),
+//! which covers the canonical scenario, fault, algorithm, replicate,
+//! cell seed and every result-affecting parameter, so a record only
+//! ever matches the cell that produced it. The log owns the line format
+//! (`{"crc":"…","key":"…","cell":{…}}`), crash recovery (torn tail
+//! ignored and truncated, corrupt lines skipped and counted), append
+//! retries and the `FXNET_JOURNAL_SYNC` fsync window. A skipped cell
+//! simply re-runs on resume, like an unseen cell. This module adds
+//! what is particular to the journal:
+//! * a record without a key (every line of a journal written before
+//!   lines were keyed) cannot show which seed and params produced it:
+//!   it is skipped without counting as corrupt, and its cell re-runs;
 //! * duplicate keys: a **successful** record always beats a
 //!   quarantined (`failed = 1`) one; among successes the **first**
 //!   occurrence wins (cells are pure functions of their identity, so
@@ -21,7 +26,7 @@
 use crate::exec::CellResult;
 use fx_chaos::Site;
 use fx_store::log::{self, Line, RecordLog, DEFAULT_IO_RETRIES};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::path::{Path, PathBuf};
 
 /// A campaign's journal file.
@@ -33,44 +38,44 @@ pub struct Journal {
 }
 
 /// What [`Journal::load_report`] found on disk.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadReport {
     /// The deduplicated journaled results.
     pub results: Vec<CellResult>,
+    /// The store key each of `results` was journaled under.
+    pub keys: Vec<u64>,
     /// Complete lines skipped because they were corrupt (checksum
     /// mismatch or unparseable). Their cells re-run on resume.
     pub corrupt: usize,
 }
 
-/// Parses one journal line: a sealed record, or a legacy plain record
-/// from before records were checksummed.
-fn parse_line(line: &str) -> Result<CellResult, String> {
-    match log::unseal(line)? {
-        Line::Sealed { payload, .. } => fx_json::from_str(payload),
-        Line::Unsealed(plain) => fx_json::from_str(plain),
+impl LoadReport {
+    /// Adds `r`, journaled under `key`, under the journal's duplicate
+    /// rule: success beats failure; first success wins; the
+    /// most-attempted failure wins. `index` maps keys to positions.
+    fn insert(&mut self, index: &mut HashMap<u64, usize>, key: u64, r: CellResult) {
+        match index.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(self.results.len());
+                self.results.push(r);
+                self.keys.push(key);
+            }
+            Entry::Occupied(slot) => {
+                let current = &mut self.results[*slot.get()];
+                if current.failed != 0 && (r.failed == 0 || r.attempts > current.attempts) {
+                    *current = r;
+                }
+            }
+        }
     }
 }
 
-/// Inserts `r` into the deduplicated result list under the journal's
-/// duplicate rule: success beats failure; first success wins; the
-/// most-attempted failure wins.
-fn dedup_insert(seen: &mut HashMap<String, usize>, out: &mut Vec<CellResult>, r: CellResult) {
-    match seen.get(&r.key) {
-        None => {
-            seen.insert(r.key.clone(), out.len());
-            out.push(r);
-        }
-        Some(&i) => {
-            let current = &out[i];
-            let replace = if current.failed != 0 {
-                r.failed == 0 || r.attempts > current.attempts
-            } else {
-                false
-            };
-            if replace {
-                out[i] = r;
-            }
-        }
+/// Parses one journal line: `Some` for a keyed record, `None` for a
+/// keyless one. A line that holds no record is an error.
+fn parse_line(line: &str) -> Result<Option<(u64, CellResult)>, String> {
+    match log::unseal(line)? {
+        Line::Keyed { key, payload } => Ok(Some((key, fx_json::from_str(payload)?))),
+        Line::Keyless(record) => fx_json::from_str::<CellResult>(record).map(|_| None),
     }
 }
 
@@ -95,19 +100,22 @@ impl Journal {
         self.load_report().map(|r| r.results)
     }
 
-    /// Loads all journaled results plus the corrupt-line tally
-    /// (surfaced by `report --health`).
+    /// Loads all journaled results with their keys, plus the
+    /// corrupt-line tally (surfaced by `report --health`).
     pub fn load_report(&self) -> Result<LoadReport, String> {
-        let mut results: Vec<CellResult> = Vec::new();
-        let mut seen: HashMap<String, usize> = HashMap::new();
+        let mut report = LoadReport::default();
+        let mut index = HashMap::new();
         let corrupt = self
             .log
             .read(|line| {
-                dedup_insert(&mut seen, &mut results, parse_line(line)?);
+                if let Some((key, r)) = parse_line(line)? {
+                    report.insert(&mut index, key, r);
+                }
                 Ok(())
             })
             .map_err(|e| format!("cannot read {}: {e}", self.path().display()))?;
-        Ok(LoadReport { results, corrupt })
+        report.corrupt = corrupt;
+        Ok(report)
     }
 
     /// This journal, opened for appending now (creating parent
@@ -129,15 +137,15 @@ impl Journal {
         Ok(journal)
     }
 
-    /// Appends one result. A failing write — real or injected through
-    /// the `io_error` chaos site — is retried up to the journal's I/O
-    /// budget; after exhaustion the error is returned and the caller
-    /// decides (the engine warns and moves on: the cell simply re-runs
-    /// on resume).
-    pub fn append(&self, result: &CellResult) -> Result<(), String> {
+    /// Appends one result under its cell's store `key`. A failing
+    /// write — real or injected through the `io_error` chaos site — is
+    /// retried up to the journal's I/O budget; after exhaustion the
+    /// error is returned and the caller decides (the engine warns and
+    /// moves on: the cell simply re-runs on resume).
+    pub fn append(&self, key: u64, result: &CellResult) -> Result<(), String> {
         let identity = fx_store::fnv1a(result.key.as_bytes()) ^ self.salt;
         self.log
-            .append(None, &fx_json::to_string(result), Site::IoError, identity)
+            .append(key, &fx_json::to_string(result), Site::IoError, identity)
             .map_err(|e| format!("journal write failed: {e}"))
     }
 }
@@ -163,11 +171,11 @@ pub fn merge_journals(inputs: &[PathBuf], output: &Path) -> Result<MergeSummary,
 }
 
 /// Merges shard journals into one: reads every present input
-/// (tolerating torn/corrupt lines like [`Journal::load`]), dedups by
-/// cell key under the journal duplicate rule (success beats failure,
-/// first success wins), and writes the union to `output` in the
-/// checksummed line format. Inputs are read fully before the output
-/// is written, so `output` may be one of the inputs.
+/// (tolerating torn/corrupt lines and dropping keyless ones like
+/// [`Journal::load`]), dedups by key under the journal duplicate rule
+/// (success beats failure, first success wins), and writes the union
+/// to `output`, each record under its key. Inputs are read fully
+/// before the output is written, so `output` may be one of the inputs.
 ///
 /// `require_complete` restores the hard failure on absent inputs
 /// (the `--require-complete` CLI flag).
@@ -196,26 +204,26 @@ pub fn merge_journals_checked(
         eprintln!("campaign: merging without missing shard journal(s): {listing}");
     }
     let mut read = 0usize;
-    let mut seen: HashMap<String, usize> = HashMap::new();
-    let mut merged: Vec<CellResult> = Vec::new();
+    let mut index = HashMap::new();
+    let mut merged = LoadReport::default();
     for (i, input) in inputs.iter().enumerate() {
         if missing.contains(&i) {
             continue;
         }
-        let results = Journal::new(input.clone()).load()?;
-        read += results.len();
-        for r in results {
-            dedup_insert(&mut seen, &mut merged, r);
+        let loaded = Journal::new(input.clone()).load_report()?;
+        read += loaded.results.len();
+        for (key, r) in loaded.keys.into_iter().zip(loaded.results) {
+            merged.insert(&mut index, key, r);
         }
     }
-    let unique = merged.len();
+    let unique = merged.results.len();
     if let Some(parent) = output.parent() {
         std::fs::create_dir_all(parent)
             .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
     }
     let mut text = String::new();
-    for r in &merged {
-        text.push_str(&log::seal(None, &fx_json::to_string(r)));
+    for (key, r) in merged.keys.iter().zip(&merged.results) {
+        text.push_str(&log::seal(*key, &fx_json::to_string(r)));
         text.push('\n');
     }
     // write-then-rename: an interrupted merge must never leave the
@@ -263,8 +271,17 @@ mod tests {
         r
     }
 
+    /// A record's store key in these tests: a hash of its cell key.
+    fn key_of(r: &CellResult) -> u64 {
+        fx_store::fnv1a(r.key.as_bytes())
+    }
+
+    fn append(j: &Journal, r: &CellResult) {
+        j.append(key_of(r), r).unwrap();
+    }
+
     fn sealed(r: &CellResult) -> String {
-        log::seal(None, &fx_json::to_string(r))
+        log::seal(key_of(r), &fx_json::to_string(r))
     }
 
     fn temp_journal(name: &str) -> Journal {
@@ -284,9 +301,9 @@ mod tests {
     #[test]
     fn append_load_roundtrip_with_dedup() {
         let j = temp_journal("roundtrip");
-        j.append(&result("a", 1.0)).unwrap();
-        j.append(&result("b", 2.0)).unwrap();
-        j.append(&result("a", 99.0)).unwrap(); // duplicate: first wins
+        append(&j, &result("a", 1.0));
+        append(&j, &result("b", 2.0));
+        append(&j, &result("a", 99.0)); // duplicate: first wins
         let loaded = j.load().unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0].key, "a");
@@ -303,13 +320,13 @@ mod tests {
     #[test]
     fn success_beats_failure_and_failures_keep_max_attempts() {
         let j = temp_journal("quarantine-dedup");
-        j.append(&failed_result("a", 3)).unwrap();
-        j.append(&result("a", 5.0)).unwrap(); // later success wins
-        j.append(&failed_result("b", 3)).unwrap();
-        j.append(&failed_result("b", 6)).unwrap(); // more attempts wins
-        j.append(&failed_result("b", 4)).unwrap(); // stale: ignored
-        j.append(&result("c", 1.0)).unwrap();
-        j.append(&failed_result("c", 9)).unwrap(); // failure never beats success
+        append(&j, &failed_result("a", 3));
+        append(&j, &result("a", 5.0)); // later success wins
+        append(&j, &failed_result("b", 3));
+        append(&j, &failed_result("b", 6)); // more attempts wins
+        append(&j, &failed_result("b", 4)); // stale: ignored
+        append(&j, &result("c", 1.0));
+        append(&j, &failed_result("c", 9)); // failure never beats success
         let loaded = j.load().unwrap();
         assert_eq!(loaded.len(), 3);
         let by_key = |k: &str| loaded.iter().find(|r| r.key == k).unwrap();
@@ -323,7 +340,7 @@ mod tests {
     #[test]
     fn appender_truncates_torn_line_so_resume_appends_cleanly() {
         let j = temp_journal("torn-append");
-        j.append(&result("a", 1.0)).unwrap();
+        append(&j, &result("a", 1.0));
         // kill mid-append: torn fragment with no trailing newline
         let mut raw = std::fs::read(j.path()).unwrap();
         raw.extend_from_slice(b"{\"crc\":\"0123456789abcdef\",\"cell\":{\"key\":\"b\",\"gra");
@@ -332,15 +349,15 @@ mod tests {
         // the next record cannot merge onto it
         let w = j.appender_with(DEFAULT_IO_RETRIES, 0).unwrap();
         assert!(std::fs::read(j.path()).unwrap().ends_with(b"\n"));
-        w.append(&result("c", 3.0)).unwrap();
+        append(&w, &result("c", 3.0));
         assert_eq!(keys(&j), (vec!["a".into(), "c".into()], 0));
     }
 
     #[test]
     fn resume_survives_truncation_at_every_byte_of_the_last_record() {
         let j = temp_journal("exhaustive-trunc");
-        j.append(&result("a", 1.0)).unwrap();
-        j.append(&result("b", 2.0)).unwrap();
+        append(&j, &result("a", 1.0));
+        append(&j, &result("b", 2.0));
         let full = std::fs::read(j.path()).unwrap();
         let b_start = full.iter().position(|&b| b == b'\n').unwrap() + 1;
         // a kill mid-write can cut the file anywhere: sweep every cut
@@ -353,7 +370,7 @@ mod tests {
             // ...and resuming truncates it first, so c lands on a line
             // of its own
             let w = j.appender_with(DEFAULT_IO_RETRIES, 0).unwrap();
-            w.append(&result("c", 3.0)).unwrap();
+            append(&w, &result("c", 3.0));
             let expect = [kept, vec!["c".into()]].concat();
             assert_eq!(keys(&j), (expect, 0), "cut={cut}");
         }
@@ -362,11 +379,11 @@ mod tests {
     #[test]
     fn merge_unions_shard_journals_first_wins() {
         let a = temp_journal("merge-a");
-        a.append(&result("x", 1.0)).unwrap();
-        a.append(&result("y", 2.0)).unwrap();
+        append(&a, &result("x", 1.0));
+        append(&a, &result("y", 2.0));
         let b = temp_journal("merge-b");
-        b.append(&result("y", 99.0)).unwrap(); // duplicate of a's y
-        b.append(&result("z", 3.0)).unwrap();
+        append(&b, &result("y", 99.0)); // duplicate of a's y
+        append(&b, &result("z", 3.0));
 
         let out = temp_journal("merge-out");
         let summary = merge_journals(
@@ -382,10 +399,16 @@ mod tests {
                 missing: vec![]
             }
         );
-        let merged = out.load().unwrap();
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged[1].key, "y");
-        assert_eq!(merged[1].metric("x"), Some(2.0), "first occurrence wins");
+        let merged = out.load_report().unwrap();
+        assert_eq!(merged.results.len(), 3);
+        assert_eq!(merged.results[1].key, "y");
+        assert_eq!(
+            merged.results[1].metric("x"),
+            Some(2.0),
+            "first occurrence wins"
+        );
+        let carried: Vec<u64> = merged.results.iter().map(key_of).collect();
+        assert_eq!(merged.keys, carried, "each record keeps its key");
 
         // merging in place (output == input) is safe
         let summary = merge_journals(
@@ -400,7 +423,7 @@ mod tests {
     #[test]
     fn merge_tolerates_missing_shards_unless_complete_required() {
         let a = temp_journal("merge-lenient-a");
-        a.append(&result("x", 1.0)).unwrap();
+        append(&a, &result("x", 1.0));
         let ghost = temp_journal("merge-lenient-ghost"); // never written
         let out = temp_journal("merge-lenient-out");
         let inputs = [
@@ -418,11 +441,12 @@ mod tests {
         assert!(err.contains("missing shard journal"), "{err}");
     }
 
+    /// A record from before records were checksummed — a plain line,
+    /// here also from before `phase_ms` existed — has no key, so it
+    /// cannot show which seed and params produced it: it is skipped,
+    /// not counted as corrupt, and its cell re-runs.
     #[test]
-    fn journals_without_phase_ms_still_load() {
-        // a journal written before phase_ms existed — resume must not
-        // orphan its cells. Legacy journals are also pre-checksum:
-        // plain records with no crc wrapper.
+    fn pre_checksum_records_are_skipped_without_counting_as_corrupt() {
         let j = temp_journal("pre-phase-ms");
         std::fs::create_dir_all(j.path().parent().unwrap()).unwrap();
         let mut line = fx_json::to_string(&result("a", 1.0));
@@ -430,32 +454,39 @@ mod tests {
         line.truncate(cut);
         line.push('}');
         std::fs::write(j.path(), format!("{line}\n")).unwrap();
+        assert_eq!(keys(&j), (vec![], 0));
+        // the re-run's keyed record is the one that loads
+        append(&j, &result("a", 2.0));
         let loaded = j.load().unwrap();
         assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].key, "a");
-        assert!(loaded[0].phase_ms.is_empty());
-        assert_eq!(loaded[0].failed, 0, "legacy records are successes");
+        assert_eq!(loaded[0].metric("x"), Some(2.0));
     }
 
+    /// Every line of a journal written before journal lines were keyed
+    /// — plain or sealed without a key — is skipped without counting
+    /// as corrupt; keyed lines beside them load.
     #[test]
-    fn legacy_plain_records_load_alongside_checksummed_ones() {
+    fn keyless_records_are_skipped_and_keyed_ones_load() {
         let j = temp_journal("mixed-schema");
         std::fs::create_dir_all(j.path().parent().unwrap()).unwrap();
-        // a legacy line followed by a v2 line
-        let legacy = fx_json::to_string(&result("old", 1.0));
-        let v2 = sealed(&result("new", 2.0));
-        std::fs::write(j.path(), format!("{legacy}\n{v2}\n")).unwrap();
+        let plain = fx_json::to_string(&result("plain", 1.0));
+        // as journals sealed lines before they carried keys
+        let payload = fx_json::to_string(&result("keyless", 2.0));
+        let crc = fx_store::fnv1a(payload.as_bytes());
+        let keyless = format!("{{\"crc\":\"{crc:016x}\",\"cell\":{payload}}}");
+        let keyed = sealed(&result("new", 3.0));
+        std::fs::write(j.path(), format!("{plain}\n{keyless}\n{keyed}\n")).unwrap();
         let report = j.load_report().unwrap();
         assert_eq!(report.corrupt, 0);
-        assert_eq!(report.results.len(), 2);
-        assert_eq!(report.results[0].key, "old");
-        assert_eq!(report.results[1].key, "new");
+        assert_eq!(report.results.len(), 1);
+        assert_eq!(report.results[0].key, "new");
+        assert_eq!(report.keys, vec![key_of(&report.results[0])]);
     }
 
     #[test]
     fn torn_final_line_is_ignored_and_interior_corruption_is_skipped() {
         let j = temp_journal("torn");
-        j.append(&result("a", 1.0)).unwrap();
+        append(&j, &result("a", 1.0));
         // simulate a kill mid-write
         let mut raw = std::fs::read_to_string(j.path()).unwrap();
         raw.push_str("{\"crc\":\"00ff\",\"cell\":{\"key\":\"b\",");
@@ -464,8 +495,8 @@ mod tests {
         assert_eq!(loaded.len(), 1);
 
         // interior corruption is skipped and counted, never fatal —
-        // including a sealed line whose damaged seal sends it down the
-        // legacy plain-record path
+        // including a sealed line whose damaged seal makes it read as
+        // keyless and then holds no record
         let good = sealed(&result("c", 3.0));
         let unsealed = good.replacen("crc", "crb", 1);
         std::fs::write(j.path(), format!("not json\n{unsealed}\n{good}\n")).unwrap();
@@ -480,8 +511,8 @@ mod tests {
         // a bit flip inside a JSON number yields a *parseable* record
         // with wrong data — exactly what the checksum exists to catch
         let j = temp_journal("value-swap");
-        j.append(&result("a", 1.0)).unwrap();
-        j.append(&result("b", 2.0)).unwrap();
+        append(&j, &result("a", 1.0));
+        append(&j, &result("b", 2.0));
         let text = std::fs::read_to_string(j.path()).unwrap();
         let tampered = text.replacen("\"seed\":1", "\"seed\":7", 1);
         assert_ne!(text, tampered, "tamper target must exist");
@@ -492,9 +523,8 @@ mod tests {
         assert_eq!(report.results[0].key, "b");
     }
 
-    // NOTE: the bit-flip sweep runs in `fx_store::log`, for keyed and
-    // keyless lines; the keyed truncation sweep runs against the
-    // store. Tests that turn chaos ON live in the root
+    // NOTE: the bit-flip sweep runs in `fx_store::log`; the store runs
+    // its own truncation sweep. Tests that turn chaos ON live in the root
     // package's `tests/chaos_invariant.rs` binary — the fx-chaos
     // config is process-global, and this unit-test binary runs tests
     // in parallel threads that must never see injected faults.

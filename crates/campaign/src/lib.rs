@@ -26,11 +26,11 @@
 //! 2. **Expand** it into [`Cell`]s with deterministic per-cell seeds
 //!    derived from the cell *identity* (editing a spec never
 //!    reshuffles seeds of untouched cells).
-//! 3. **Execute** cells on the work-stealing
-//!    [`Pool`](fx_graph::par::Pool), journaling each completed cell to
-//!    a JSONL checkpoint as it finishes — a killed run loses at most
-//!    the in-flight cells, and `resume` skips everything already paid
-//!    for.
+//! 3. **Execute** cells in parallel
+//!    ([`par_map`](fx_graph::par::par_map)), journaling each completed
+//!    cell to a JSONL checkpoint under its store key as it finishes —
+//!    a killed run loses at most the in-flight cells, and `resume`
+//!    skips every cell already paid for with the same seed and params.
 //! 4. **Aggregate** with online Welford mean/variance + 95% CIs in a
 //!    schedule-independent order, so interrupted-and-resumed runs
 //!    produce bit-identical statistics.
@@ -98,10 +98,12 @@
 //! paid for. The run itself always completes; `--strict` turns
 //! residual failures into a non-zero exit.
 //!
-//! Journal records carry an FNV-1a checksum
-//! (`{"crc":"…","cell":{…}}`, see `fx_store::log`); on resume a torn
-//! final record is dropped and corrupt records are skipped and
-//! counted, and their cells re-execute like unseen ones.
+//! Journal records carry their cell's store key and an FNV-1a
+//! checksum (`{"crc":"…","key":"…","cell":{…}}`, see
+//! `fx_store::log`); on resume a torn final record is dropped, corrupt
+//! records are skipped and counted, and their cells re-execute like
+//! unseen ones. A record without a key (written before journal lines
+//! were keyed) is skipped without counting, and its cell re-runs.
 //! `fxnet campaign report --health` surfaces the
 //! failed/retried/corrupt tallies. Fault *injection* for testing all
 //! of this is driven by the `FXNET_CHAOS` environment variable (see

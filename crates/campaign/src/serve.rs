@@ -732,9 +732,10 @@ fn cell_response(query: &str, shared: &Shared) -> Response {
         Ok(cell) => cell,
         Err(e) => return Response::error(400, "Bad Request", &e),
     };
+    let key = crate::store_key::store_key(&shared.spec, &cell);
     // Warm path: the store answers without touching the queue.
     if let Some(store) = &shared.store {
-        if let Some(result) = store_lookup(store, &shared.spec, &cell) {
+        if let Some(result) = store_lookup(store, &cell, key) {
             shared.stats.hits.fetch_add(1, Ordering::Relaxed);
             TRACE_HITS.incr();
             let mut resp = Response::new(200, "OK", cell_body(&cell, &result));
@@ -747,7 +748,6 @@ fn cell_response(query: &str, shared: &Shared) -> Response {
     // Cold path: single-flight schedule, then wait.
     let job = {
         let mut queue = shared.queue.lock().unwrap();
-        let key = crate::store_key::store_key(&shared.spec, &cell);
         if let Some(job) = queue.jobs.get(&key).cloned() {
             // Coalesce onto the in-flight computation; the extra
             // waiter bumps the job's queue priority (lazy re-push —

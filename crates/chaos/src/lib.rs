@@ -2,7 +2,7 @@
 //!
 //! A process-global registry of chaos *sites*: named places in the
 //! execution stack where a fault can be injected (a cell panic, a
-//! journal I/O error, a worker slowdown). Each site carries an
+//! journal I/O error, a slow cell). Each site carries an
 //! independent probability, configured through the `FXNET_CHAOS`
 //! environment variable; with the variable unset every site is off and
 //! the only cost at an injection point is **one relaxed atomic load**,
@@ -23,9 +23,9 @@
 //! * `store_io:p` — with probability `p`, a cell-store read or append
 //!   fails with an I/O error (the store degrades to a cache miss and
 //!   recomputes; it never serves a torn read).
-//! * `slow:p[,ms]` — with probability `p`, an executor worker chunk is
-//!   delayed by `ms` milliseconds (default 5). The optional bare-number
-//!   token after `slow:p` is the delay.
+//! * `slow:p[,ms]` — with probability `p`, a campaign cell is delayed
+//!   by `ms` milliseconds (default 5) before it runs. The optional
+//!   bare-number token after `slow:p` is the delay.
 //! * `seed:n` — reseeds the decision function (default 0). Two runs
 //!   with the same seed inject faults at exactly the same places.
 //!
@@ -59,7 +59,8 @@ pub enum Site {
     CellPanic = 0,
     /// I/O error on a journal append (`fx_campaign::journal`).
     IoError = 1,
-    /// Artificial delay in an executor worker chunk (`fx_graph::par`).
+    /// Artificial delay before a campaign cell runs
+    /// (`fx_campaign::engine`).
     Slow = 2,
     /// I/O error on a cell-store read or append (`fx_store`).
     StoreIo = 3,

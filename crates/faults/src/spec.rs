@@ -350,19 +350,6 @@ impl FaultSpec {
         matches!(self, FaultSpec::Random { .. })
     }
 
-    /// True when the per-trial fault mask is a product of independent
-    /// per-node Bernoulli draws, so the bit-parallel Monte-Carlo
-    /// engine can run 64 trials per machine word (each trial still
-    /// sampled from its own scalar RNG stream — lane and scalar paths
-    /// are bit-identical). Mirrors [`FaultModel::vectorizable`] at
-    /// the spec level, for cost estimates before a model is built.
-    pub fn is_vectorizable(&self) -> bool {
-        matches!(
-            self,
-            FaultSpec::Random { .. } | FaultSpec::HeavyTailed { .. }
-        )
-    }
-
     /// True for randomized *dilution* models — faults drawn from a
     /// distribution over node subsets, the regime percolation-style
     /// γ measurements are meaningful for. Deterministic/adversarial
@@ -629,9 +616,8 @@ mod tests {
         );
     }
 
-    /// The spec-level vectorizable predicate must agree with the
-    /// model it builds — campaign cost estimates read the spec before
-    /// any model exists, the engine dispatch reads the model.
+    /// Exactly the product-of-Bernoulli models run on the
+    /// bit-parallel Monte-Carlo engine.
     #[test]
     fn vectorizable_agrees_with_built_models() {
         for (s, expect) in [
@@ -645,16 +631,14 @@ mod tests {
             ("adversarial:2", false),
             ("degree:2", false),
         ] {
-            let spec = FaultSpec::parse(s).unwrap();
-            assert_eq!(spec.is_vectorizable(), expect, "{s}");
-            let model = spec.build(None).unwrap();
-            assert_eq!(model.vectorizable(), expect, "{s} (built model)");
+            let model = FaultSpec::parse(s).unwrap().build(None).unwrap();
+            assert_eq!(model.vectorizable(), expect, "{s}");
         }
     }
 
     /// `sample_into` must be bit-identical to `sample`, including
     /// when the output mask is reused hot across models and graphs
-    /// (the Monte-Carlo pool-reuse pattern).
+    /// (the Monte-Carlo scratch-reuse pattern).
     #[test]
     fn sample_into_matches_sample_across_mask_reuse() {
         let graphs = [generators::torus(&[8, 8]), generators::cycle(100)];

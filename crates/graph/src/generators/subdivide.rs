@@ -48,11 +48,6 @@ impl SubdividedGraph {
             .map(|i| self.chain_center(i))
             .collect()
     }
-
-    /// True if `v` is an original (non-chain) node.
-    pub fn is_original(&self, v: NodeId) -> bool {
-        (v as usize) < self.original_n
-    }
 }
 
 /// Subdivides every edge of `g` with `k` interior nodes. `k = 0`
@@ -142,7 +137,10 @@ mod tests {
         let delta = 4;
         for c in 0..comps.count() {
             let members = comps.members(c);
-            let originals = members.iter().filter(|&v| s.is_original(v)).count();
+            let originals = members
+                .iter()
+                .filter(|&v| (v as usize) < s.original_n)
+                .count();
             assert!(originals <= 1);
             assert!(members.len() <= 1 + delta * s.k / 2 + delta);
         }
@@ -153,8 +151,8 @@ mod tests {
         let g = generators::cycle(4);
         let s = subdivide(&g, 2);
         assert_eq!(s.centers().len(), 4);
-        assert!(s.is_original(3));
-        assert!(!s.is_original(4));
+        assert!(3 < s.original_n, "node 3 is original");
+        assert!(4 >= s.original_n, "node 4 is a chain node");
         assert_eq!(s.chain_center(0), 4 + 1);
     }
 }

@@ -19,9 +19,9 @@
 //! * [`tree`] — Mehlhorn 2-approximate and Dreyfus–Wagner exact
 //!   Steiner trees (the span's `P(U)`);
 //! * [`boundary`] — `Γ(U)` and edge cuts, the atoms of expansion;
-//! * [`par`] — a persistent, deterministic work-stealing executor
-//!   (with cooperative cancellation) for the Monte-Carlo harnesses
-//!   and the campaign engine;
+//! * [`par`] — a deterministic parallel map on scoped threads (with
+//!   cooperative cancellation) for the campaign engine and the
+//!   Monte-Carlo harnesses;
 //! * [`scratch`] — reusable traversal buffers so hot loops allocate
 //!   O(threads), not O(trials·n).
 //!

@@ -2,10 +2,9 @@
 //!
 //! Trials are independent and deterministically seeded
 //! (`seed = base ⊕ trial-index` hashed), so results are reproducible
-//! for any thread count — and for any pool age: trials run on the
-//! persistent executor through
+//! for any thread count: trials run through
 //! [`par_map_init`](fx_graph::par::par_map_init), with one
-//! [`TrialScratch`] arena per worker (alive mask, traversal scratch,
+//! [`TrialScratch`] arena per thread (alive mask, traversal scratch,
 //! Newman–Ziff buffers), so a sweep of `t` trials over an `n`-node
 //! graph performs O(threads) arena allocations instead of O(t·n)
 //! (the A3 ablation bench measures the harness itself).
@@ -118,10 +117,10 @@ impl MonteCarlo {
 
     /// Per-trial γ samples of [`MonteCarlo::gamma_site_at`], in trial
     /// order, at an explicit lane width (`1` = scalar path, `2..=64`
-    /// = lane engine; out-of-range widths clamp). The executor chunks
-    /// batches of `width` trials through
-    /// [`par_map_init`](fx_graph::par::par_map_init) instead of
-    /// single trials, with one [`LaneScratch`] arena per worker.
+    /// = lane engine; out-of-range widths clamp). Batches of `width`
+    /// trials, not single trials, are the items of
+    /// [`par_map_init`](fx_graph::par::par_map_init), with one
+    /// [`LaneScratch`] arena per thread.
     pub fn gamma_site_samples(&self, g: &CsrGraph, keep: f64, lane_width: usize) -> Vec<f64> {
         let n = g.num_nodes();
         let base = self.base_seed;
@@ -265,9 +264,8 @@ mod tests {
         assert!((curve[3].mean - 1.0).abs() < 1e-12);
     }
 
-    /// The tentpole determinism contract: identical statistics across
-    /// thread counts {1, 2, 8} *and* across repeated calls on the
-    /// same persistent pool (reuse must not perturb seed derivation).
+    /// The determinism contract: identical statistics across thread
+    /// counts {1, 2, 8} *and* across repeated calls.
     #[test]
     fn deterministic_across_thread_counts_and_pool_reuse() {
         let g = generators::hypercube(7);

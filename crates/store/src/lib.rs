@@ -83,8 +83,8 @@ pub fn shard_of(key: u64) -> usize {
 /// A content-addressed result store: sharded checksummed append-only
 /// logs under one directory, fronted by an in-memory index.
 ///
-/// All methods take `&self`; the store is safe to share across the
-/// executor's worker threads.
+/// All methods take `&self`; the store is safe to share across
+/// threads.
 pub struct Store {
     dir: PathBuf,
     index: Mutex<HashMap<u64, String>>,
@@ -106,14 +106,11 @@ impl Store {
         let mut corrupt = 0;
         for shard in &shards {
             corrupt += shard.read(|line| match log::unseal(line)? {
-                Line::Sealed {
-                    key: Some(key),
-                    payload,
-                } => {
+                Line::Keyed { key, payload } => {
                     index.insert(key, payload.to_string());
                     Ok(())
                 }
-                _ => Err("not a keyed store record".to_string()),
+                Line::Keyless(_) => Err("not a keyed store record".to_string()),
             })? as u64;
         }
         if corrupt > 0 {
@@ -160,12 +157,7 @@ impl Store {
     /// callers may treat the error as non-fatal.
     pub fn put(&self, key: u64, payload: &str) -> std::io::Result<()> {
         debug_assert!(!payload.contains('\n'), "store payloads are single-line");
-        self.shards[shard_of(key)].append(
-            Some(key),
-            payload,
-            Site::StoreIo,
-            key ^ CHAOS_PUT_SALT,
-        )?;
+        self.shards[shard_of(key)].append(key, payload, Site::StoreIo, key ^ CHAOS_PUT_SALT)?;
         self.index.lock().unwrap().insert(key, payload.to_string());
         TRACE_PUBLISHES.incr();
         Ok(())
@@ -301,7 +293,7 @@ mod tests {
         let target = bytes.len() - 3;
         bytes[target] ^= 0x01;
         // and a line that verifies but carries no key
-        bytes.extend_from_slice(format!("{}\n", log::seal(None, "{\"v\":1}")).as_bytes());
+        bytes.extend_from_slice(b"{\"crc\":\"0000000000000000\",\"cell\":{\"v\":1}}\n");
         std::fs::write(&shard, &bytes).unwrap();
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.corrupt(), 2, "flip and keyless line are counted");
@@ -318,7 +310,7 @@ mod tests {
     fn checksum_catches_a_value_swap_that_still_parses() {
         // Each CRC covers `key|payload`, so re-keying a line or
         // swapping its payload without re-sealing is caught.
-        let line = log::seal(Some(1), "{\"v\":1}");
+        let line = log::seal(1, "{\"v\":1}");
         let rekeyed = line.replace(
             "\"key\":\"0000000000000001\"",
             "\"key\":\"0000000000000002\"",

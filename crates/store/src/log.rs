@@ -5,13 +5,14 @@
 //! ## Line format
 //!
 //! ```text
-//! {"crc":"<16-hex>","cell":<payload>}                    keyless (journal)
-//! {"crc":"<16-hex>","key":"<16-hex>","cell":<payload>}   keyed (store)
+//! {"crc":"<16-hex>","key":"<16-hex>","cell":<payload>}
 //! ```
 //!
-//! The CRC is [`fnv1a`] over the payload, or over `"<key-hex>|<payload>"`
-//! on a keyed line, so a bit flip in either the address or the value is
-//! caught.
+//! The CRC is [`fnv1a`] over `"<key-hex>|<payload>"`, so a bit flip in
+//! either the address or the value is caught. [`unseal`] also
+//! recognizes a line without a key — a bare payload, or one sealed as
+//! `{"crc":"<16-hex>","cell":<payload>}` — so a reader can tell records
+//! written before its lines were keyed from damaged ones.
 //!
 //! ## Recovery
 //!
@@ -59,62 +60,55 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn checksum(key: Option<u64>, payload: &str) -> u64 {
-    match key {
-        Some(key) => fnv1a(format!("{key:016x}|{payload}").as_bytes()),
-        None => fnv1a(payload.as_bytes()),
-    }
+fn checksum(key: u64, payload: &str) -> u64 {
+    fnv1a(format!("{key:016x}|{payload}").as_bytes())
 }
 
-/// Seals a single-line JSON `payload` into one log line (without the
-/// trailing newline).
-pub fn seal(key: Option<u64>, payload: &str) -> String {
+/// Seals a single-line JSON `payload` under `key` into one log line
+/// (without the trailing newline).
+pub fn seal(key: u64, payload: &str) -> String {
     let crc = checksum(key, payload);
-    match key {
-        Some(key) => {
-            format!("{{\"crc\":\"{crc:016x}\",\"key\":\"{key:016x}\",\"cell\":{payload}}}")
-        }
-        None => format!("{{\"crc\":\"{crc:016x}\",\"cell\":{payload}}}"),
-    }
+    format!("{{\"crc\":\"{crc:016x}\",\"key\":\"{key:016x}\",\"cell\":{payload}}}")
 }
 
 /// One line of a log, as [`unseal`] reads it.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Line<'a> {
-    /// A sealed record whose checksum verifies.
-    Sealed {
-        /// The record's key, on a keyed line.
-        key: Option<u64>,
+    /// A keyed record whose checksum verifies.
+    Keyed {
+        /// The record's key.
+        key: u64,
         /// The record's JSON payload.
         payload: &'a str,
     },
-    /// A line with no seal at all, left to the caller (the journal's
-    /// pre-checksum records).
-    Unsealed(&'a str),
+    /// A line without a key: the payload of a keyless seal, or the
+    /// whole line when it has no seal. Unverified; what it holds is
+    /// left to the caller.
+    Keyless(&'a str),
 }
 
-/// Verifies one line. A sealed line that fails verification is an
+/// Verifies one line. A keyed line that fails verification is an
 /// error.
 pub fn unseal(line: &str) -> Result<Line<'_>, &'static str> {
     let Some(rest) = line.strip_prefix("{\"crc\":\"") else {
-        return Ok(Line::Unsealed(line));
+        return Ok(Line::Keyless(line));
     };
     let (crc, rest) = hex_field(rest)?;
-    let (key, rest) = match rest.strip_prefix("\"key\":\"") {
-        Some(rest) => {
-            let (key, rest) = hex_field(rest)?;
-            (Some(key), rest)
-        }
-        None => (None, rest),
-    };
-    let payload = rest
-        .strip_prefix("\"cell\":")
-        .and_then(|r| r.strip_suffix('}'))
-        .ok_or("malformed seal")?;
+    if let Some(payload) = cell_field(rest) {
+        return Ok(Line::Keyless(payload));
+    }
+    let rest = rest.strip_prefix("\"key\":\"").ok_or("malformed seal")?;
+    let (key, rest) = hex_field(rest)?;
+    let payload = cell_field(rest).ok_or("malformed seal")?;
     if checksum(key, payload) != crc {
         return Err("checksum mismatch (torn or bit-flipped record)");
     }
-    Ok(Line::Sealed { key, payload })
+    Ok(Line::Keyed { key, payload })
+}
+
+/// The payload of a seal's `"cell":<payload>}` tail.
+fn cell_field(s: &str) -> Option<&str> {
+    s.strip_prefix("\"cell\":")?.strip_suffix('}')
 }
 
 /// Splits a 16-hex-digit value and its closing `",` off the front of
@@ -258,13 +252,7 @@ impl RecordLog {
     /// touching the file when the chaos `site` fires for
     /// `(identity, attempt)`; failed tries are retried up to the log's
     /// budget, after which the last error is returned.
-    pub fn append(
-        &self,
-        key: Option<u64>,
-        payload: &str,
-        site: Site,
-        identity: u64,
-    ) -> io::Result<()> {
+    pub fn append(&self, key: u64, payload: &str, site: Site, identity: u64) -> io::Result<()> {
         let mut record = seal(key, payload);
         record.push('\n');
         let mut last_err = None;
@@ -319,63 +307,63 @@ mod tests {
     const B: &str = "{\"v\":\"b\"}";
     const C: &str = "{\"v\":\"c\"}";
 
-    /// The verified payloads of `log` (unsealed lines rejected) and the
+    /// The verified payloads of `log` (keyless lines rejected) and the
     /// corrupt count.
     fn payloads(log: &RecordLog) -> (Vec<String>, usize) {
         let mut out = Vec::new();
         let corrupt = log
             .read(|line| match unseal(line)? {
-                Line::Sealed { payload, .. } => {
+                Line::Keyed { payload, .. } => {
                     out.push(payload.to_string());
                     Ok(())
                 }
-                Line::Unsealed(_) => Err("unsealed".into()),
+                Line::Keyless(_) => Err("keyless".into()),
             })
             .unwrap();
         (out, corrupt)
     }
 
-    /// A journal line and a store line as earlier releases wrote them
-    /// for the same cell: both verify, and sealing their key and
-    /// payload again reproduces them byte for byte.
+    /// A store line as earlier releases wrote it verifies, and sealing
+    /// its key and payload again reproduces it byte for byte. A
+    /// journal line from before journal lines were keyed, and a bare
+    /// payload, read as keyless.
     #[test]
     fn seals_reproduce_the_existing_formats_byte_for_byte() {
         let cell = r#"{"key":"torus:4,4|none|expansion-cert|r0","graph":"torus:4,4","fault":"none","algo":"expansion-cert","replicate":0,"seed":4564166207218524731,"metrics":[["n",16],["faults",0],["gamma",1],["alpha_lower",0.75],["alpha_upper",0.75],["alpha_e_lower",1],["alpha_e_upper",1]],"wall_ms":1.262465,"phase_ms":[["build",0.013989],["fault",0.002771],["algo",1.24358]],"failed":0,"error":"","attempts":1,"cache_hit":0}"#;
-        let journal = format!(r#"{{"crc":"404552bce15503a0","cell":{cell}}}"#);
         let store =
             format!(r#"{{"crc":"162f28b59c54f358","key":"6c29c1a376792ba0","cell":{cell}}}"#);
-        for (line, key) in [(journal, None), (store, Some(0x6c29_c1a3_7679_2ba0))] {
-            assert_eq!(unseal(&line), Ok(Line::Sealed { key, payload: cell }));
-            assert_eq!(seal(key, cell), line);
-        }
+        let key = 0x6c29_c1a3_7679_2ba0;
+        assert_eq!(unseal(&store), Ok(Line::Keyed { key, payload: cell }));
+        assert_eq!(seal(key, cell), store);
+        let journal = format!(r#"{{"crc":"404552bce15503a0","cell":{cell}}}"#);
+        assert_eq!(unseal(&journal), Ok(Line::Keyless(cell)));
+        assert_eq!(unseal(cell), Ok(Line::Keyless(cell)));
     }
 
     #[test]
     fn bit_flips_at_every_byte_of_the_first_record_are_skipped_and_counted() {
-        // keyless (journal) and keyed (store) lines; the truncation
-        // sweeps run against the journal and the store themselves
-        for key in [None, Some(7)] {
-            let name = format!("fx-store-log-flip-{key:?}-{}.jsonl", std::process::id());
-            let path = std::env::temp_dir().join(name);
-            let _ = std::fs::remove_file(&path);
-            let log = RecordLog::new(path.clone(), DEFAULT_IO_RETRIES);
-            for payload in [A, B, C] {
-                log.append(key, payload, Site::StoreIo, 0).unwrap();
-            }
-            let full = std::fs::read(&path).unwrap();
-            for i in 0..full.iter().position(|&b| b == b'\n').unwrap() {
-                for bit in [0x01u8, 0x80] {
-                    let mut damaged = full.clone();
-                    damaged[i] ^= bit;
-                    std::fs::write(&path, &damaged).unwrap();
-                    // never fatal: the damaged record either still
-                    // verifies intact or is skipped and counted
-                    let (got, corrupt) = payloads(&log);
-                    assert!(
-                        corrupt <= 1 && got == [A, B, C][corrupt..],
-                        "{key:?} byte {i}: {got:?}"
-                    );
-                }
+        // the truncation sweeps run against the journal and the store
+        // themselves
+        let name = format!("fx-store-log-flip-{}.jsonl", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_file(&path);
+        let log = RecordLog::new(path.clone(), DEFAULT_IO_RETRIES);
+        for payload in [A, B, C] {
+            log.append(7, payload, Site::StoreIo, 0).unwrap();
+        }
+        let full = std::fs::read(&path).unwrap();
+        for i in 0..full.iter().position(|&b| b == b'\n').unwrap() {
+            for bit in [0x01u8, 0x80] {
+                let mut damaged = full.clone();
+                damaged[i] ^= bit;
+                std::fs::write(&path, &damaged).unwrap();
+                // never fatal: the damaged record either still
+                // verifies intact or is skipped and counted
+                let (got, corrupt) = payloads(&log);
+                assert!(
+                    corrupt <= 1 && got == [A, B, C][corrupt..],
+                    "byte {i}: {got:?}"
+                );
             }
         }
     }

@@ -36,7 +36,8 @@ use fx_json::Json;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Target {
-    /// The persistent work-stealing executor (`fx_graph::par`).
+    /// Parallel maps (`fx_graph::par`): one `job` span per call that
+    /// starts helper threads, and the `jobs`/`items` counters.
     Par = 0,
     /// Campaign orchestration (spec expansion, journal, aggregation).
     Campaign = 1,
