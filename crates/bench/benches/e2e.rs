@@ -1,6 +1,6 @@
-//! Bench: end-to-end Monte-Carlo pipelines at the *default* thread
-//! count — the workloads whose throughput is the science budget
-//! (thousands of fault trials per campaign cell).
+//! Bench: end-to-end Monte-Carlo pipelines, run inline as campaign
+//! cells run them — the workloads whose throughput is the science
+//! budget (thousands of fault trials per campaign cell).
 //!
 //! These are the headline rows of the `BENCH_e2e.json` perf ledger:
 //! `mc_percolation_e2e` is the percolation trial loop (direct
@@ -14,7 +14,7 @@
 //! (with a `FX_BENCH_DYNCON_MIN_RATIO` speedup gate).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fx_core::{analyze_random, AnalyzerConfig, Family};
+use fx_core::{analyze_random, Family};
 use fx_faults::{targeted_order, FaultModel, HeavyTailedFaults, TargetBy};
 use fx_graph::dyncon::{resweep_curve, solve_curve, IntervalTrace};
 use fx_graph::{CsrGraph, NodeSet, Scratch};
@@ -27,14 +27,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Percolation Monte-Carlo: γ at a point (direct resampling) and the
-/// critical-probability search (Newman–Ziff curves), default threads.
+/// critical-probability search (Newman–Ziff curves).
 fn bench_mc_percolation(c: &mut Criterion) {
     let mut group = c.benchmark_group("mc_percolation_e2e");
     group.sample_size(10);
     let g = fx_graph::generators::torus(&[48, 48]);
     let mc = MonteCarlo {
         trials: 16,
-        threads: 0, // the resolved default (FXNET_THREADS / cores)
         base_seed: 0xE2E,
     };
     group.bench_function("gamma_at_torus_2304", |b| {
@@ -47,10 +46,9 @@ fn bench_mc_percolation(c: &mut Criterion) {
 }
 
 /// The bit-parallel Monte-Carlo engine vs the scalar trial loop on
-/// the same `mc_percolation_e2e`-class cell (torus 48×48, keep 0.65),
-/// single-threaded so the ledger rows measure the engine, not the
-/// pool. 256 trials = 4 full lane batches, enough to amortize the
-/// one-off lane-CSR build the way campaign cells do.
+/// the same `mc_percolation_e2e`-class cell (torus 48×48, keep 0.65).
+/// 256 trials = 4 full lane batches, enough to amortize the one-off
+/// lane-CSR build the way campaign cells do.
 fn bench_mc_bitparallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("mc_bitparallel_e2e");
     group.sample_size(10);
@@ -117,13 +115,8 @@ fn bench_mc_random_faults(c: &mut Criterion) {
     let mut group = c.benchmark_group("mc_random_fault_e2e");
     group.sample_size(10);
     let net = Family::Torus { dims: vec![24, 24] }.build(0);
-    let cfg = AnalyzerConfig {
-        seed: 7,
-        threads: 0, // the resolved default
-        ..Default::default()
-    };
     group.bench_function("prune2_sweep_torus_576", |b| {
-        b.iter(|| analyze_random(&net, 0.03, 0.125, 2.0, 8, &cfg))
+        b.iter(|| analyze_random(&net, 0.03, 0.125, 2.0, 8, 7))
     });
     group.finish();
 }

@@ -1,7 +1,7 @@
 //! Bench: percolation machinery — Newman–Ziff vs naive resampling
-//! (ablation A2) and parallel Monte-Carlo scaling (ablation A3).
+//! (ablation A2) and raw sweep throughput.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use fx_percolation::{site_sweep_with, MonteCarlo, SweepScratch};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -16,7 +16,6 @@ fn bench_nz_vs_naive(c: &mut Criterion) {
     let keeps: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
     let mc = MonteCarlo {
         trials: 4,
-        threads: 1,
         base_seed: 1,
     };
     group.bench_function("newman_ziff", |b| {
@@ -33,28 +32,9 @@ fn bench_nz_vs_naive(c: &mut Criterion) {
     group.finish();
 }
 
-/// A3: thread scaling of the Monte-Carlo harness.
-fn bench_parallel_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mc_scaling_torus_4096");
-    group.sample_size(10);
-    let g = fx_graph::generators::torus(&[64, 64]);
-    let keeps = [0.3f64, 0.5, 0.7];
-    for threads in [1usize, 2, 4, 8] {
-        let mc = MonteCarlo {
-            trials: 16,
-            threads,
-            base_seed: 2,
-        };
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
-            b.iter(|| mc.gamma_site_curve(&g, &keeps))
-        });
-    }
-    group.finish();
-}
-
 /// Raw sweep throughput across graph families, through the
 /// scratch-reusing kernel the Monte-Carlo harness actually runs (one
-/// arena per worker, reused across trials).
+/// arena reused across trials).
 fn bench_sweep_families(c: &mut Criterion) {
     let mut group = c.benchmark_group("site_sweep");
     let cases = vec![
@@ -86,6 +66,6 @@ fn fast_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = fast_config();
-    targets = bench_nz_vs_naive, bench_parallel_scaling, bench_sweep_families
+    targets = bench_nz_vs_naive, bench_sweep_families
 }
 criterion_main!(benches);

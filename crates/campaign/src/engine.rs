@@ -5,14 +5,14 @@
 //! journaled cells skips them, so resuming after a kill (or growing a
 //! spec with new axis values) only pays for missing cells. A journal
 //! record matches a cell by its store key
-//! ([`store_key`](crate::store_key::store_key)), so a record made with
+//! ([`store_key`]), so a record made with
 //! another seed or other params never stands in for the cell, and
 //! records of cells outside the grid are never aggregated.
 
 use crate::agg::{aggregate, GroupAggregate};
 use crate::exec::{run_cell_resilient, CellResult};
 use crate::grid::{expand, Cell};
-use crate::journal::{Journal, LoadReport};
+use crate::journal::{merge_journals, Journal, LoadReport};
 use crate::spec::CampaignSpec;
 use crate::store_key::store_key;
 use crate::table::{f as fmt_f, write_csv, Table};
@@ -257,7 +257,19 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
 
     // reload so aggregation sees exactly what is durable on disk,
     // including the cells this invocation just appended
-    let reloaded = journal.load_report()?;
+    let mut reloaded = journal.load_report()?;
+    if reloaded.corrupt > 0 {
+        // a corrupt line holds no usable record (its cell re-ran above
+        // or re-runs on the next resume), so rewrite the journal
+        // without it: `--strict` then reports only damage still on disk
+        let path = journal.path().to_path_buf();
+        merge_journals(std::slice::from_ref(&path), &path)?;
+        eprintln!(
+            "campaign {}: dropped {} corrupt journal line(s)",
+            spec.name, reloaded.corrupt
+        );
+        reloaded = journal.load_report()?;
+    }
     let mut summary = finish(spec, opts, &journal, &reloaded, &keys, skipped, executed)?;
     summary
         .artifacts
@@ -905,6 +917,40 @@ timeout_ms = 50
         for d in [&dir, &fresh_dir] {
             let _ = std::fs::remove_dir_all(d);
         }
+    }
+
+    /// A corrupt interior line is gone once a run has re-run its cell:
+    /// the journal holds one line per cell, and neither the run nor a
+    /// later report finds corruption left for `--strict` to fail on.
+    #[test]
+    fn run_drops_corrupt_lines_after_rerunning_their_cells() {
+        let dir = temp_dir("repair");
+        let spec = spec_in(&dir);
+        let clean = run(&spec, &quiet(2)).unwrap();
+        let path = dir.join("journal.jsonl");
+        let mut lines: Vec<String> = std::fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect();
+        // flip one digit inside line 4's metrics
+        let line = &mut lines[3];
+        let metrics = line.find("\"metrics\"").unwrap();
+        let at = metrics + line[metrics..].find(|c: char| c.is_ascii_digit()).unwrap();
+        let flipped = if &line[at..=at] == "1" { "2" } else { "1" };
+        line.replace_range(at..=at, flipped);
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+        let resumed = run(&spec, &quiet(2)).unwrap();
+        assert_eq!((resumed.skipped, resumed.executed), (7, 1));
+        assert_eq!(resumed.corrupt, 0);
+        assert!(resumed.complete);
+        assert_eq!(resumed.aggregates, clean.aggregates);
+        let reported = report(&spec, &quiet(1)).unwrap();
+        assert_eq!((reported.corrupt, reported.skipped), (0, 8));
+        let journal = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(journal.lines().count(), 8);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 use crate::grid::Cell;
 use crate::spec::{Algo, CampaignSpec, ChurnCurves, FaultSpec, Params};
 use fx_core::{
-    analyze_adversarial, analyze_random, diffuse, embed_nearest, point_load, AnalyzerConfig,
-    BuiltScenario, Scenario,
+    analyze_adversarial, analyze_random, diffuse, embed_nearest, point_load, BuiltScenario,
+    Network, Scenario,
 };
 use fx_expansion::certificate::{edge_expansion_bounds, node_expansion_bounds, Effort};
 use fx_expansion::Cut;
@@ -34,7 +34,9 @@ use fx_percolation::{
     trial_seed, LaneScratch, Mode, MonteCarlo, SweepScratch, MAX_LANES,
 };
 use fx_prune::bounds::{theorem23_component_bound, theorem25_removal_bound};
-use fx_prune::{compactify, dissect, is_compact, prune, theorem34_max_epsilon, CutStrategy};
+use fx_prune::{
+    compactify, dissect, is_compact, prune, theorem34_max_epsilon, CutStrategy, PruneOutcome,
+};
 use fx_span::count::{claim32_bound, count_connected_subsets_by_size};
 use fx_span::span::{exact_span_cancelable, sampled_span_cancelable};
 use fx_trace::{Span, Target};
@@ -175,9 +177,34 @@ fn fault_model<'a>(fault: &FaultSpec, built: &'a BuiltScenario) -> Box<dyn Fault
     Box::new(TimedModel(model))
 }
 
-/// Prune threshold ε from the Theorem 2.1 `k` parameter.
-fn prune_epsilon(params: &Params) -> f64 {
-    1.0 - 1.0 / params.k
+/// Samples the cell's faults from `rng` and applies them: the failed
+/// nodes and the surviving alive mask.
+fn sample_faults(built: &BuiltScenario, cell: &Cell, rng: &mut SmallRng) -> (NodeSet, NodeSet) {
+    let graph = &built.net.graph;
+    let failed = fault_model(&cell.fault, built).sample(graph, rng);
+    let alive = apply_faults(graph, &failed);
+    (failed, alive)
+}
+
+/// `Prune(1 − 1/k)` of the faulty graph `alive`, with α taken as the
+/// intact graph's node-expansion upper bound.
+fn prune_faulty(
+    net: &Network,
+    alive: &NodeSet,
+    params: &Params,
+    rng: &mut SmallRng,
+) -> PruneOutcome {
+    let full = net.full_mask();
+    let alpha = node_expansion_bounds(&net.graph, &full, Effort::Auto, rng).upper;
+    let epsilon = 1.0 - 1.0 / params.k;
+    prune(
+        &net.graph,
+        alive,
+        alpha,
+        epsilon,
+        CutStrategy::SpectralRefined,
+        rng,
+    )
 }
 
 /// The effective parameters of a cell: the campaign `[params]` with
@@ -233,12 +260,7 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
     let mut metrics: Vec<(String, f64)> = match cell.algo {
         Algo::Prune => {
             let model = fault_model(&cell.fault, &built);
-            let cfg = AnalyzerConfig {
-                seed: cell.seed,
-                threads: 1,
-                ..Default::default()
-            };
-            let r = analyze_adversarial(net, model.as_ref(), params.k, &cfg);
+            let r = analyze_adversarial(net, model.as_ref(), params.k, cell.seed);
             let n = r.n.max(1) as f64;
             let mut m = vec![
                 ("n".to_string(), r.n as f64),
@@ -262,12 +284,7 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
             let epsilon = params
                 .epsilon
                 .unwrap_or_else(|| theorem34_max_epsilon(net.max_degree()));
-            let cfg = AnalyzerConfig {
-                seed: cell.seed,
-                threads: 1,
-                ..Default::default()
-            };
-            let r = analyze_random(net, p, epsilon, params.sigma, params.trials, &cfg);
+            let r = analyze_random(net, p, epsilon, params.sigma, params.trials, cell.seed);
             vec![
                 ("n".to_string(), r.n as f64),
                 ("p".to_string(), p),
@@ -339,9 +356,7 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
             // heterogeneous / correlated random dilution: γ under one
             // draw of the model, like the i.i.d. arm above
             FaultSpec::HeavyTailed { .. } | FaultSpec::Clustered { .. } => {
-                let model = fault_model(&cell.fault, &built);
-                let failed = model.sample(&net.graph, &mut rng);
-                let alive = apply_faults(&net.graph, &failed);
+                let (failed, alive) = sample_faults(&built, cell, &mut rng);
                 vec![
                     ("n".to_string(), net.n() as f64),
                     ("faults".to_string(), failed.len() as f64),
@@ -386,7 +401,6 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
             _ => {
                 let mc = MonteCarlo {
                     trials: params.trials.max(4),
-                    threads: 1,
                     base_seed: cell.seed,
                 };
                 let mode = if params.site_mode {
@@ -671,9 +685,7 @@ fn expansion_cert_metrics(
     rng: &mut SmallRng,
 ) -> Vec<(String, f64)> {
     let net = &built.net;
-    let model = fault_model(&cell.fault, built);
-    let failed = model.sample(&net.graph, rng);
-    let alive = apply_faults(&net.graph, &failed);
+    let (failed, alive) = sample_faults(built, cell, rng);
     if alive.is_empty() {
         return vec![
             ("n".to_string(), net.n() as f64),
@@ -699,9 +711,7 @@ fn expansion_cert_metrics(
 /// subdivided scenarios the `O(δk)` component bound.
 fn shatter_metrics(built: &BuiltScenario, cell: &Cell, rng: &mut SmallRng) -> Vec<(String, f64)> {
     let net = &built.net;
-    let model = fault_model(&cell.fault, built);
-    let failed = model.sample(&net.graph, rng);
-    let alive = apply_faults(&net.graph, &failed);
+    let (failed, alive) = sample_faults(built, cell, rng);
     // one scratch serves both the component sweep and γ
     let mut scratch = Scratch::new();
     let comps = component_stats_with(&net.graph, &alive, &mut scratch);
@@ -804,19 +814,8 @@ fn diameter_metrics(
     token: &CancelToken,
 ) -> Vec<(String, f64)> {
     let net = &built.net;
-    let model = fault_model(&cell.fault, built);
-    let failed = model.sample(&net.graph, rng);
-    let alive = apply_faults(&net.graph, &failed);
-    let full = net.full_mask();
-    let ab = node_expansion_bounds(&net.graph, &full, Effort::Auto, rng);
-    let out = prune(
-        &net.graph,
-        &alive,
-        ab.upper,
-        prune_epsilon(params),
-        CutStrategy::SpectralRefined,
-        rng,
-    );
+    let (failed, alive) = sample_faults(built, cell, rng);
+    let out = prune_faulty(net, &alive, params, rng);
     let mut m = vec![
         ("n".to_string(), net.n() as f64),
         ("faults".to_string(), failed.len() as f64),
@@ -913,21 +912,11 @@ fn routing_metrics(
     let demands = permutation_demands(&full, rng);
     let healthy = route_demands(&net.graph, &full, &demands, rng);
 
-    let model = fault_model(&cell.fault, built);
-    let failed = model.sample(&net.graph, rng);
-    let alive = apply_faults(&net.graph, &failed);
+    let (failed, alive) = sample_faults(built, cell, rng);
     let demands_f = permutation_demands(&alive, rng);
     let faulty = route_demands(&net.graph, &alive, &demands_f, rng);
 
-    let ab = node_expansion_bounds(&net.graph, &full, Effort::Auto, rng);
-    let out = prune(
-        &net.graph,
-        &alive,
-        ab.upper,
-        prune_epsilon(params),
-        CutStrategy::SpectralRefined,
-        rng,
-    );
+    let out = prune_faulty(net, &alive, params, rng);
     let mut m = vec![
         ("n".to_string(), net.n() as f64),
         ("faults".to_string(), failed.len() as f64),
@@ -977,9 +966,7 @@ fn load_balance_metrics(
     };
 
     let healthy = run(&full);
-    let model = fault_model(&cell.fault, built);
-    let failed = model.sample(&net.graph, rng);
-    let alive = apply_faults(&net.graph, &failed);
+    let (failed, alive) = sample_faults(built, cell, rng);
     let mut m = vec![
         ("n".to_string(), net.n() as f64),
         ("faults".to_string(), failed.len() as f64),
@@ -999,15 +986,7 @@ fn load_balance_metrics(
         if token.is_cancelled() {
             return m;
         }
-        let ab = node_expansion_bounds(&net.graph, &full, Effort::Auto, rng);
-        let out = prune(
-            &net.graph,
-            &alive,
-            ab.upper,
-            prune_epsilon(params),
-            CutStrategy::SpectralRefined,
-            rng,
-        );
+        let out = prune_faulty(net, &alive, params, rng);
         m.push(("pruned_nodes".to_string(), out.kept.len() as f64));
         if !out.kept.is_empty() {
             let pruned = run(&out.kept);
@@ -1033,24 +1012,14 @@ fn embed_metrics(
     token: &CancelToken,
 ) -> Vec<(String, f64)> {
     let net = &built.net;
-    let full = net.full_mask();
-    let model = fault_model(&cell.fault, built);
-    let failed = model.sample(&net.graph, rng);
-    let alive = apply_faults(&net.graph, &failed);
+    let (failed, alive) = sample_faults(built, cell, rng);
     let mut m = vec![
         ("n".to_string(), net.n() as f64),
         ("faults".to_string(), failed.len() as f64),
     ];
-    let ab = node_expansion_bounds(&net.graph, &full, Effort::Auto, rng);
+    let pruned = prune_faulty(net, &alive, params, rng);
+    // draws no random numbers, so it may follow the prune
     let raw_core = largest_component(&net.graph, &alive);
-    let pruned = prune(
-        &net.graph,
-        &alive,
-        ab.upper,
-        prune_epsilon(params),
-        CutStrategy::SpectralRefined,
-        rng,
-    );
     for (stage, hosts) in [("raw", &raw_core), ("pruned", &pruned.kept)] {
         if hosts.is_empty() || token.is_cancelled() {
             continue;

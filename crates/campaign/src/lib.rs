@@ -101,11 +101,11 @@
 //! Journal records carry their cell's store key and an FNV-1a
 //! checksum (`{"crc":"…","key":"…","cell":{…}}`, see
 //! `fx_store::log`); on resume a torn final record is dropped, corrupt
-//! records are skipped and counted, and their cells re-execute like
-//! unseen ones. A record without a key (written before journal lines
-//! were keyed) is skipped without counting, and its cell re-runs.
-//! `fxnet campaign report --health` surfaces the
-//! failed/retried/corrupt tallies. Fault *injection* for testing all
+//! records are skipped and counted, their cells re-execute like unseen
+//! ones, and the run rewrites the journal without them. A record
+//! without a key (written before journal lines were keyed) is skipped
+//! without counting, and its cell re-runs. `fxnet campaign report
+//! --health` surfaces the failed/retried/corrupt tallies. Fault *injection* for testing all
 //! of this is driven by the `FXNET_CHAOS` environment variable (see
 //! `fx_chaos`); with it unset the injection sites cost one relaxed
 //! atomic load each.

@@ -31,10 +31,11 @@
 //!   `FXNET_TRACE=serve` works and tests can assert single-flight.
 //!
 //! Failure containment mirrors the campaign engine: a panicking cell
-//! is caught by [`run_cell_resilient`]'s machinery downstream of the
-//! same chaos sites, a failed cell answers `500` without wedging a
-//! worker, and `store_io` chaos degrades lookups to recomputes — by
-//! the determinism contract the served bytes never change.
+//! is caught by [`run_cell_resilient`](crate::run_cell_resilient)'s
+//! machinery downstream of the same chaos sites, a failed cell answers
+//! `500` without wedging a worker, and `store_io` chaos degrades
+//! lookups to recomputes — by the determinism contract the served
+//! bytes never change.
 
 use crate::engine::store_lookup;
 use crate::exec::{cell_params, CellResult};

@@ -85,7 +85,8 @@ global:     --threads N   worker threads (or FXNET_THREADS; default: cores, ≤ 
 resilience: panicking cells retry up to [params] retries times (default 2),
             then are quarantined: journaled failed=1, excluded from aggregates,
             re-attempted on the next resume. Journal records are checksummed;
-            corrupt records are skipped on resume and those cells re-run.
+            corrupt records are skipped on resume, those cells re-run, and
+            the run rewrites the journal without the corrupt records.
             FXNET_JOURNAL_SYNC=N  fsync the journal and every cell-store shard
             every N records (default 64; 0 disables periodic sync — faster, but
             a power loss can lose up to one OS write-back window of finished

@@ -12,50 +12,25 @@ use crate::report::{AdversarialReport, BoundsSummary, RandomFaultReport};
 use fx_expansion::certificate::{edge_expansion_bounds, node_expansion_bounds, Effort};
 use fx_faults::{apply_faults, FaultModel, RandomNodeFaults};
 use fx_graph::components::{gamma, gamma_with};
-use fx_graph::par::{par_map_init, resolve_threads};
 use fx_graph::{NodeSet, Scratch};
 use fx_prune::{prune, prune2, theorem21, theorem34_applicable, theorem34_max_p, CutStrategy};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Shared analysis knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalyzerConfig {
-    /// Cut oracle for the pruning loops.
-    pub strategy: CutStrategy,
-    /// Certificate effort for expansion measurement.
-    pub effort: Effort,
-    /// Base RNG seed (analyses are deterministic given this).
-    pub seed: u64,
-    /// Worker threads for Monte-Carlo trials (`0` = the resolved
-    /// default: `FXNET_THREADS` / available cores).
-    pub threads: usize,
-}
-
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        AnalyzerConfig {
-            strategy: CutStrategy::Auto,
-            effort: Effort::Auto,
-            seed: 0xFA017,
-            threads: 0,
-        }
-    }
-}
-
 /// Runs the full adversarial pipeline of §2:
 /// measure `α`, inject `model`'s faults, run `Prune(1−1/k)`, measure
-/// `α(H)`, and evaluate the Theorem 2.1 guarantee.
+/// `α(H)`, and evaluate the Theorem 2.1 guarantee. The analysis is a
+/// pure function of its inputs and `seed`.
 pub fn analyze_adversarial(
     net: &Network,
     model: &dyn FaultModel,
     k: f64,
-    config: &AnalyzerConfig,
+    seed: u64,
 ) -> AdversarialReport {
     assert!(k >= 2.0, "Theorem 2.1 needs k ≥ 2");
-    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let full = net.full_mask();
-    let alpha_before = node_expansion_bounds(&net.graph, &full, config.effort, &mut rng);
+    let alpha_before = node_expansion_bounds(&net.graph, &full, Effort::Auto, &mut rng);
     // Use the witnessed upper bound as the operational α (it is the
     // value a real operator can actually certify).
     let alpha = alpha_before.upper.min(1e6);
@@ -70,10 +45,10 @@ pub fn analyze_adversarial(
         &alive,
         alpha,
         epsilon,
-        config.strategy,
+        CutStrategy::Auto,
         &mut rng,
     );
-    let alpha_after = node_expansion_bounds(&net.graph, &out.kept, config.effort, &mut rng);
+    let alpha_after = node_expansion_bounds(&net.graph, &out.kept, Effort::Auto, &mut rng);
 
     let guarantee = theorem21(net.n(), alpha, failed.len(), k);
     AdversarialReport {
@@ -96,6 +71,8 @@ pub fn analyze_adversarial(
 /// Runs the random-fault pipeline of §3 over `trials` Monte-Carlo
 /// trials at fault probability `p`: inject i.i.d. faults, run
 /// `Prune2(ε)`, and aggregate the Theorem 3.4 success statistics.
+/// Trial `i` draws from its own stream derived from `seed`, and the
+/// trials run in order through one reused set of masks.
 ///
 /// `sigma` is the (known or assumed) span of the network, used only
 /// to evaluate the theorem's `p ≤ 1/(2e·δ^{4σ})` precondition.
@@ -105,12 +82,12 @@ pub fn analyze_random(
     epsilon: f64,
     sigma: f64,
     trials: usize,
-    config: &AnalyzerConfig,
+    seed: u64,
 ) -> RandomFaultReport {
     assert!((0.0..=1.0).contains(&p));
-    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let full = net.full_mask();
-    let ae_before = edge_expansion_bounds(&net.graph, &full, config.effort, &mut rng);
+    let ae_before = edge_expansion_bounds(&net.graph, &full, Effort::Auto, &mut rng);
     let alpha_e = ae_before.upper.min(1e6);
     let delta = net.max_degree();
 
@@ -122,23 +99,20 @@ pub fn analyze_random(
     }
     let n = net.n();
     let graph = &net.graph;
-    let strategy = config.strategy;
-    let effort = config.effort;
-    let seed = config.seed;
-    // per-worker trial arena: fault mask, alive mask, traversal
-    // scratch — reused across every trial a worker claims
-    let results: Vec<Trial> = par_map_init(
-        trials,
-        resolve_threads(config.threads),
-        || (NodeSet::empty(n), NodeSet::empty(n), Scratch::new()),
-        move |(failed, alive, scratch), i| {
+    // one trial arena (fault mask, alive mask, traversal scratch),
+    // reused by every trial
+    let mut failed = NodeSet::empty(n);
+    let mut alive = NodeSet::empty(n);
+    let mut scratch = Scratch::new();
+    let results: Vec<Trial> = (0..trials)
+        .map(|i| {
             let mut rng = SmallRng::seed_from_u64(seed ^ (0xC0FFEE + i as u64));
-            RandomNodeFaults { p }.sample_into(graph, &mut rng, failed);
-            failed.complement_into(alive);
-            let g_frac = gamma_with(graph, alive, scratch);
-            let out = prune2(graph, alive, alpha_e, epsilon, strategy, &mut rng);
+            RandomNodeFaults { p }.sample_into(graph, &mut rng, &mut failed);
+            failed.complement_into(&mut alive);
+            let g_frac = gamma_with(graph, &alive, &mut scratch);
+            let out = prune2(graph, &alive, alpha_e, epsilon, CutStrategy::Auto, &mut rng);
             let kept_fraction = out.kept.len() as f64 / n.max(1) as f64;
-            let after = edge_expansion_bounds(graph, &out.kept, effort, &mut rng);
+            let after = edge_expansion_bounds(graph, &out.kept, Effort::Auto, &mut rng);
             Trial {
                 gamma: g_frac,
                 kept_fraction,
@@ -149,8 +123,8 @@ pub fn analyze_random(
                     0.0
                 },
             }
-        },
-    );
+        })
+        .collect();
 
     let mean =
         |f: &dyn Fn(&Trial) -> f64| results.iter().map(f).sum::<f64>() / trials.max(1) as f64;
@@ -176,17 +150,12 @@ mod tests {
     use crate::families::Family;
     use fx_faults::{ExactRandomFaults, SparseCutAdversary};
 
-    fn cfg() -> AnalyzerConfig {
-        AnalyzerConfig {
-            threads: 2,
-            ..Default::default()
-        }
-    }
+    const SEED: u64 = 0xFA017;
 
     #[test]
     fn adversarial_pipeline_on_hypercube() {
         let net = Family::Hypercube { d: 4 }.build(0);
-        let r = analyze_adversarial(&net, &SparseCutAdversary { budget: 2 }, 2.0, &cfg());
+        let r = analyze_adversarial(&net, &SparseCutAdversary { budget: 2 }, 2.0, SEED);
         assert_eq!(r.n, 16);
         assert!(r.faults <= 2);
         assert!(r.kept <= 16 - r.faults);
@@ -204,7 +173,7 @@ mod tests {
     #[test]
     fn adversarial_report_consistency_random_model() {
         let net = Family::Torus { dims: vec![5, 5] }.build(0);
-        let r = analyze_adversarial(&net, &ExactRandomFaults { f: 3 }, 3.0, &cfg());
+        let r = analyze_adversarial(&net, &ExactRandomFaults { f: 3 }, 3.0, SEED);
         assert_eq!(r.faults, 3);
         assert!((0.0..=1.0).contains(&r.gamma_after_faults));
         assert!(r.epsilon > 0.6 && r.epsilon < 0.7);
@@ -213,7 +182,7 @@ mod tests {
     #[test]
     fn random_pipeline_zero_p_keeps_everything() {
         let net = Family::Torus { dims: vec![4, 4] }.build(0);
-        let r = analyze_random(&net, 0.0, 0.125, 2.0, 4, &cfg());
+        let r = analyze_random(&net, 0.0, 0.125, 2.0, 4, SEED);
         assert!((r.mean_gamma - 1.0).abs() < 1e-12);
         assert!((r.mean_kept_fraction - 1.0).abs() < 1e-12);
         assert!((r.success_rate - 1.0).abs() < 1e-12);
@@ -222,7 +191,7 @@ mod tests {
     #[test]
     fn random_pipeline_heavy_p_fails() {
         let net = Family::Torus { dims: vec![4, 4] }.build(0);
-        let r = analyze_random(&net, 0.9, 0.125, 2.0, 4, &cfg());
+        let r = analyze_random(&net, 0.9, 0.125, 2.0, 4, SEED);
         assert!(r.mean_gamma < 0.3);
         assert!(r.success_rate < 0.5);
         assert!(!r.theorem34_applicable); // p far beyond the bound
@@ -231,8 +200,8 @@ mod tests {
     #[test]
     fn random_pipeline_deterministic() {
         let net = Family::Hypercube { d: 5 }.build(0);
-        let a = analyze_random(&net, 0.1, 0.1, 2.0, 6, &cfg());
-        let b = analyze_random(&net, 0.1, 0.1, 2.0, 6, &cfg());
+        let a = analyze_random(&net, 0.1, 0.1, 2.0, 6, SEED);
+        let b = analyze_random(&net, 0.1, 0.1, 2.0, 6, SEED);
         assert_eq!(a.mean_gamma, b.mean_gamma);
         assert_eq!(a.mean_kept_fraction, b.mean_kept_fraction);
     }

@@ -5,16 +5,12 @@
 //! theorem-annotated report.
 //!
 //! ```
-//! use fx_core::{analyze_adversarial, AnalyzerConfig, Family};
+//! use fx_core::{analyze_adversarial, Family};
 //! use fx_faults::SparseCutAdversary;
 //!
 //! let net = Family::Hypercube { d: 4 }.build(0);
-//! let report = analyze_adversarial(
-//!     &net,
-//!     &SparseCutAdversary { budget: 2 },
-//!     2.0,
-//!     &AnalyzerConfig::default(),
-//! );
+//! let seed = 0xFA017;
+//! let report = analyze_adversarial(&net, &SparseCutAdversary { budget: 2 }, 2.0, seed);
 //! assert!(report.kept >= report.guaranteed_min_kept.unwrap_or(0.0) as usize);
 //! ```
 
@@ -29,7 +25,7 @@ pub mod report;
 pub mod scenario;
 pub mod theory;
 
-pub use analyzer::{analyze_adversarial, analyze_random, AnalyzerConfig};
+pub use analyzer::{analyze_adversarial, analyze_random};
 pub use diffusion::{diffuse, point_load, DiffusionOutcome};
 pub use embedding::{embed_nearest, EmbeddingQuality};
 pub use families::{subdivided_expander, Family};

@@ -20,10 +20,9 @@
 //!   Steiner trees (the span's `P(U)`);
 //! * [`boundary`] — `Γ(U)` and edge cuts, the atoms of expansion;
 //! * [`par`] — a deterministic parallel map on scoped threads (with
-//!   cooperative cancellation) for the campaign engine and the
-//!   Monte-Carlo harnesses;
-//! * [`scratch`] — reusable traversal buffers so hot loops allocate
-//!   O(threads), not O(trials·n).
+//!   cooperative cancellation) for the campaign engine's cells;
+//! * [`scratch`] — reusable traversal buffers, so a Monte-Carlo loop
+//!   allocates once, not once per trial.
 //!
 //! ## Example
 //! ```

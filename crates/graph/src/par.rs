@@ -1,13 +1,12 @@
 //! Deterministic parallel map over an index range.
 //!
-//! The campaign engine's cells and the Monte-Carlo harnesses
-//! (percolation sweeps, prune success rates) are embarrassingly
-//! parallel over independent items. [`par_map`] and [`par_map_init`]
-//! run them on the calling thread plus scoped helper threads, started
-//! for the call and joined before it returns. Every participant claims
-//! indices one at a time from a shared atomic cursor, so stragglers
-//! (e.g. percolation trials near criticality) never serialize the
-//! batch.
+//! The campaign engine's cells are independent, and they are the one
+//! unit that runs in parallel: [`par_map`] runs them on the calling
+//! thread plus scoped helper threads, started for the call and joined
+//! before it returns. Every participant claims indices one at a time
+//! from a shared atomic cursor, so stragglers (e.g. a slow span cell)
+//! never serialize the batch. Inside a cell, Monte-Carlo trials run
+//! inline.
 //!
 //! Results come back in index order, and item `i` is always computed
 //! from the same inputs, so seeded experiments are reproducible at any
@@ -45,10 +44,9 @@ pub fn default_threads() -> usize {
 /// Resolves a requested thread count: `0` means "use the default"
 /// ([`default_threads`], i.e. `FXNET_THREADS` / available cores).
 ///
-/// This is the single funnel every consumer (CLI `--threads`, campaign
-/// `RunOptions::threads`, `MonteCarlo::threads`, analyzer configs)
-/// routes through, so one resolved setting governs the whole run
-/// instead of each call site re-deriving its own.
+/// The CLI's `--threads` and the campaign engine's
+/// `RunOptions::threads` both route through it, so one resolved
+/// setting governs the whole run.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         default_threads()
@@ -166,41 +164,17 @@ fn participants(threads: usize, len: usize) -> usize {
 ///
 /// `f` must be `Sync` (shared across threads) and is called exactly
 /// once per index. `threads == 0` or `1` runs inline.
+///
+/// A panic in `f` stops further claims and is re-raised on the calling
+/// thread with its original payload once every helper has returned.
 pub fn par_map<T, F>(len: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    par_map_init(len, threads, || (), |(), i| f(i))
-}
-
-/// [`par_map`] with per-participant scratch state: `init()` runs once
-/// per participating thread, at its first claimed item, and
-/// `f(&mut state, i)` computes item `i`.
-///
-/// The Monte-Carlo harnesses use this to reuse visited-sets, queues,
-/// and union-find arenas across a thread's trials, so a 10k-trial
-/// sweep allocates O(threads) scratch instead of O(trials·n).
-///
-/// Determinism contract: `f` must reset any carried state it reads, so
-/// item `i`'s result never depends on which participant computed it.
-///
-/// A panic in `init` or `f` stops further claims and is re-raised on
-/// the calling thread with its original payload once every helper has
-/// returned.
-pub fn par_map_init<T, S, I, F>(len: usize, threads: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    if len == 0 {
-        return Vec::new();
-    }
     let participants = participants(threads, len);
     if participants == 1 {
-        let mut state = init();
-        return (0..len).map(|i| f(&mut state, i)).collect();
+        return (0..len).map(f).collect();
     }
     TRACE_JOBS.incr();
     TRACE_ITEMS.add(len as u64);
@@ -212,14 +186,13 @@ where
     // panic that ended it after pushing the cursor past the end
     let participate = || -> Result<Vec<(usize, T)>, Box<dyn Any + Send>> {
         catch_unwind(AssertUnwindSafe(|| {
-            let mut state = None;
             let mut out = Vec::new();
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= len {
                     return out;
                 }
-                out.push((i, f(state.get_or_insert_with(&init), i)));
+                out.push((i, f(i)));
             }
         }))
         .inspect_err(|_| cursor.store(len, Ordering::Relaxed))
@@ -338,30 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn map_init_reuses_state_per_participant_without_changing_results() {
-        let serial: Vec<usize> = (0..500).map(|i| i + 1).collect();
-        for threads in [1usize, 2, 8] {
-            let allocs = std::sync::atomic::AtomicUsize::new(0);
-            let got = par_map_init(
-                500,
-                threads,
-                || {
-                    allocs.fetch_add(1, Ordering::Relaxed);
-                    Vec::<usize>::new()
-                },
-                |scratch, i| {
-                    scratch.clear(); // reset: results independent of reuse
-                    scratch.push(i);
-                    scratch[0] + 1
-                },
-            );
-            assert_eq!(got, serial);
-            // lazily created: at most one state per participant
-            assert!(allocs.load(Ordering::Relaxed) <= threads.max(1));
-        }
-    }
-
-    #[test]
     fn cancel_token_flag_and_deadline() {
         let t = CancelToken::new();
         assert!(!t.is_cancelled());
@@ -374,16 +323,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         assert!(d.is_cancelled());
         assert!(clone.is_cancelled(), "clones share cancellation state");
-    }
-
-    #[test]
-    fn panicking_init_closure_does_not_deadlock() {
-        let result = std::panic::catch_unwind(|| {
-            par_map_init(100, 4, || -> usize { panic!("init boom") }, |_s, i| i)
-        });
-        assert!(result.is_err(), "init panic must propagate, not hang");
-        let after = par_map(8, 4, |i| i + 1);
-        assert_eq!(after, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]

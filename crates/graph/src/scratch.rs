@@ -7,9 +7,8 @@
 //! [`Scratch`] owns those buffers once and is threaded through the
 //! `_with` variants in [`traversal`](crate::traversal),
 //! [`components`](crate::components), [`boundary`](crate::boundary),
-//! and [`distance`](crate::distance); combined with
-//! [`par_map_init`](crate::par::par_map_init) a 10k-trial sweep
-//! allocates O(threads) scratch instead of O(trials·n).
+//! and [`distance`](crate::distance), so a 10k-trial sweep allocates
+//! its scratch once instead of once per trial.
 //!
 //! Reuse is invisible in results: every kernel fully resets the parts
 //! of the scratch it reads, so a call with a fresh scratch and a call
@@ -20,10 +19,9 @@ use crate::node::NodeId;
 
 /// Reusable buffers for masked-graph traversals.
 ///
-/// Create once (per worker, typically via
-/// [`par_map_init`](crate::par::par_map_init)) and pass to the
-/// `_with` kernel variants. Buffers grow to the largest universe seen
-/// and are reset — never reallocated — on reuse at the same size.
+/// Create once per loop and pass to the `_with` kernel variants.
+/// Buffers grow to the largest universe seen and are reset — never
+/// reallocated — on reuse at the same size.
 #[derive(Debug, Clone)]
 pub struct Scratch {
     /// Visited/membership bitset over the current universe.

@@ -347,7 +347,7 @@ impl LaneUnionFind {
     /// endpoints' lane-transposed alive words; bits at or above
     /// `lanes()` are ignored (the lane transpose already clears them).
     ///
-    /// Set bits are peeled two at a time through [`union_flat2`]: a
+    /// Set bits are peeled two at a time through `union_flat2`: a
     /// single union is a serial chain of two dependent loads, so
     /// pairing independent lanes roughly halves the chain latency the
     /// edge pass pays per union.

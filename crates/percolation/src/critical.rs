@@ -113,7 +113,6 @@ mod tests {
     fn mc() -> MonteCarlo {
         MonteCarlo {
             trials: 16,
-            threads: 2,
             base_seed: 99,
         }
     }

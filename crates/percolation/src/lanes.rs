@@ -34,8 +34,7 @@ pub const MAX_LANES: usize = 64;
 // declined to vectorize. One relaxed load per site when off.
 static TRACE_LANE_BATCHES: Counter = Counter::new(Target::Percolation, "mc_lane_batches");
 static TRACE_LANE_TRIALS: Counter = Counter::new(Target::Percolation, "mc_lane_trials");
-pub(crate) static TRACE_SCALAR_TRIALS: Counter =
-    Counter::new(Target::Percolation, "mc_scalar_trials");
+static TRACE_SCALAR_TRIALS: Counter = Counter::new(Target::Percolation, "mc_scalar_trials");
 // Mean alive lanes per node word, recorded once per batch: low
 // occupancy means the batch is paying 64-lane transposes for mostly
 // dead lanes (ragged tail or deeply subcritical p).
@@ -120,7 +119,7 @@ impl LaneSet {
 /// exact: skips never merge anything, and every component's final
 /// size is still produced by its last performed union.
 #[derive(Debug, Clone)]
-pub struct LaneCsr {
+struct LaneCsr {
     n: usize,
     /// Packed edges: `v << 32 | armed << 31 | u` (node ids fit 31
     /// bits — asserted at build — so the guard flag rides in `u`'s
@@ -132,10 +131,10 @@ impl LaneCsr {
     /// Builds the guarded edge list in two O(m) merge passes over the
     /// sorted CSR neighbor lists (no per-edge binary searches): one to
     /// mark which nodes have a consecutive-predecessor edge, one to
-    /// arm each edge whose guarantor triple exists. Build it once per
-    /// cell and share it across batches (it is read-only during
-    /// extraction).
-    pub fn for_graph(g: &CsrGraph) -> Self {
+    /// arm each edge whose guarantor triple exists. Built once per
+    /// [`gamma_trials_with`] call and shared by its batches (it is
+    /// read-only during extraction).
+    fn for_graph(g: &CsrGraph) -> Self {
         let n = g.num_nodes();
         assert!(n <= (1 << 31), "lane engine supports up to 2^31 nodes");
         // cons[v] ⇔ the edge (v-1, v) exists.
@@ -172,14 +171,9 @@ impl LaneCsr {
         }
         LaneCsr { n, edges }
     }
-
-    /// Node universe this edge list was built for.
-    pub fn universe(&self) -> usize {
-        self.n
-    }
 }
 
-/// Per-worker arena for the lane engine: 64 per-trial masks, the
+/// Reusable arena for the lane engine: 64 per-trial masks, the
 /// transposed lane set, the batched union-find, and a scalar-path
 /// traversal scratch (the `lane_width == 1` fallback reuses it).
 #[derive(Debug)]
@@ -216,8 +210,8 @@ impl LaneScratch {
 /// end-of-batch forest rescan); an OR over the alive words supplies
 /// the size-1 floor for lanes whose largest component is a singleton.
 /// Returns one γ per lane, in lane order — each bit-identical to the
-/// scalar [`gamma_site_with`](crate::sample::gamma_site_with) on that
-/// lane's mask (both divide the same exact integer by `n`).
+/// scalar [`gamma_site_with`] on that lane's mask (both divide the
+/// same exact integer by `n`).
 pub fn gamma_lanes_with(g: &CsrGraph, lanes: &LaneSet, uf: &mut LaneUnionFind) -> Vec<f64> {
     let n = g.num_nodes();
     assert_eq!(lanes.words().len(), n, "lane set universe mismatch");
@@ -255,7 +249,7 @@ fn finish_gammas(uf: &LaneUnionFind, any_alive: u64, n: usize) -> Vec<f64> {
 /// guarded edges skip their unions — the engine's production edge
 /// pass. Bit-identical to the unguarded pass (skips are provable
 /// no-ops), just faster on index-regular graphs.
-pub fn gamma_lanes_guarded(csr: &LaneCsr, lanes: &LaneSet, uf: &mut LaneUnionFind) -> Vec<f64> {
+fn gamma_lanes_guarded(csr: &LaneCsr, lanes: &LaneSet, uf: &mut LaneUnionFind) -> Vec<f64> {
     let n = csr.n;
     assert_eq!(lanes.words().len(), n, "lane set universe mismatch");
     uf.reset(n, lanes.lanes());
@@ -299,50 +293,14 @@ pub fn gamma_lanes_guarded(csr: &LaneCsr, lanes: &LaneSet, uf: &mut LaneUnionFin
     finish_gammas(uf, any_alive, n)
 }
 
-/// Runs one batch of `count ≤ 64` trials: `fill(t, mask)` samples
-/// trial `t`'s alive mask (the caller seeds it exactly as the scalar
-/// path would), the batch is transposed, and per-lane γ comes back in
-/// trial order. `csr` must be [`LaneCsr::for_graph`] of `g` (asserted
-/// by universe); build it once per cell, not per batch.
-pub fn gamma_batch_with(
-    g: &CsrGraph,
-    csr: &LaneCsr,
-    scratch: &mut LaneScratch,
-    count: usize,
-    mut fill: impl FnMut(usize, &mut NodeSet),
-) -> Vec<f64> {
-    assert!(
-        (1..=MAX_LANES).contains(&count),
-        "batch must hold 1..=64 trials, got {count}"
-    );
-    let n = g.num_nodes();
-    assert_eq!(csr.universe(), n, "edge list universe != graph");
-    for t in 0..count {
-        let mask = &mut scratch.masks[t];
-        fill(t, mask);
-        assert_eq!(mask.capacity(), n, "trial mask universe != graph");
-    }
-    scratch.lanes.load_masks(&scratch.masks[..count]);
-    TRACE_LANE_BATCHES.incr();
-    TRACE_LANE_TRIALS.add(count as u64);
-    if fx_trace::enabled(Target::Percolation) && n > 0 {
-        let alive_bits: u64 = scratch
-            .lanes
-            .words()
-            .iter()
-            .map(|w| w.count_ones() as u64)
-            .sum();
-        TRACE_LANE_OCCUPANCY.record_always(alive_bits / n as u64);
-    }
-    gamma_lanes_guarded(csr, &scratch.lanes, &mut scratch.uf)
-}
-
 /// Runs `trials` trials at the given lane width, single-threaded,
 /// returning per-trial γ in trial order plus the number of lane
 /// batches executed (0 when the width-1 scalar path ran). `fill(i,
 /// mask)` samples trial `i`'s alive mask; it is called exactly once
 /// per trial, in trial order, on both paths — which is what makes the
-/// two paths bit-identical for seeded fills.
+/// two paths bit-identical for seeded fills. On the lane path each
+/// batch of up to `lane_width` masks is transposed and its per-lane γ
+/// comes from one guarded edge pass.
 pub fn gamma_trials_with(
     g: &CsrGraph,
     trials: usize,
@@ -351,36 +309,40 @@ pub fn gamma_trials_with(
     mut fill: impl FnMut(usize, &mut NodeSet),
 ) -> (Vec<f64>, usize) {
     let width = lane_width.clamp(1, MAX_LANES);
+    let n = g.num_nodes();
     let mut out = Vec::with_capacity(trials);
     if width == 1 {
         TRACE_SCALAR_TRIALS.add(trials as u64);
+        let mask = &mut scratch.masks[0];
         for i in 0..trials {
-            let (mask, scalar) = scratch.scalar_parts();
             fill(i, mask);
-            out.push(gamma_site_with(g, mask, scalar));
+            out.push(gamma_site_with(g, mask, &mut scratch.scratch));
         }
         return (out, 0);
     }
     let csr = LaneCsr::for_graph(g);
-    let mut batches = 0usize;
-    let mut lo = 0usize;
-    while lo < trials {
+    let batches = trials.div_ceil(width);
+    for lo in (0..trials).step_by(width) {
         let count = width.min(trials - lo);
-        out.extend(gamma_batch_with(g, &csr, scratch, count, |t, mask| {
-            fill(lo + t, mask)
-        }));
-        batches += 1;
-        lo += count;
+        for (t, mask) in scratch.masks[..count].iter_mut().enumerate() {
+            fill(lo + t, mask);
+            assert_eq!(mask.capacity(), n, "trial mask universe != graph");
+        }
+        scratch.lanes.load_masks(&scratch.masks[..count]);
+        TRACE_LANE_BATCHES.incr();
+        TRACE_LANE_TRIALS.add(count as u64);
+        if fx_trace::enabled(Target::Percolation) && n > 0 {
+            let alive_bits: u64 = scratch
+                .lanes
+                .words()
+                .iter()
+                .map(|w| w.count_ones() as u64)
+                .sum();
+            TRACE_LANE_OCCUPANCY.record_always(alive_bits / n as u64);
+        }
+        out.extend(gamma_lanes_guarded(&csr, &scratch.lanes, &mut scratch.uf));
     }
     (out, batches)
-}
-
-impl LaneScratch {
-    /// The width-1 fallback's buffers: the first mask slot plus the
-    /// traversal scratch, borrowed disjointly.
-    fn scalar_parts(&mut self) -> (&mut NodeSet, &mut Scratch) {
-        (&mut self.masks[0], &mut self.scratch)
-    }
 }
 
 #[cfg(test)]

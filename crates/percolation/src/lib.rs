@@ -10,8 +10,8 @@
 //! * [`lanes`] — the bit-parallel engine: 64 trials per machine word
 //!   (lane-transposed masks + batched union-find), bit-identical to
 //!   the scalar path by construction;
-//! * [`montecarlo`] — deterministic, thread-parallel trial batches
-//!   (same results for any thread count);
+//! * [`montecarlo`] — deterministic Monte-Carlo estimators: seeded
+//!   trials in trial order, one reused set of buffers per call;
 //! * [`critical`] — `p*` estimation by curve inversion, reproducing
 //!   the survey's table of thresholds (experiment E7).
 //!
@@ -20,7 +20,7 @@
 //! use fx_graph::generators;
 //!
 //! let g = generators::torus(&[16, 16]);
-//! let mc = MonteCarlo { trials: 8, threads: 1, base_seed: 1 };
+//! let mc = MonteCarlo { trials: 8, base_seed: 1 };
 //! let est = estimate_critical(&g, Mode::Bond, &mc, 0.1, 20);
 //! assert!(est.p_star > 0.0 && est.p_star < 1.0);
 //! ```
@@ -36,10 +36,7 @@ pub mod sample;
 
 pub use critical::{estimate_critical, estimate_critical_cancelable, CriticalEstimate, Mode};
 pub use dilution::{critical_removal_fraction, crossing_fraction, gamma_removal_curve};
-pub use lanes::{
-    gamma_batch_with, gamma_lanes_guarded, gamma_lanes_with, gamma_trials_with, LaneCsr,
-    LaneScratch, LaneSet, MAX_LANES,
-};
+pub use lanes::{gamma_lanes_with, gamma_trials_with, LaneScratch, LaneSet, MAX_LANES};
 pub use montecarlo::{trial_seed, MonteCarlo, Stat};
 pub use newman_ziff::{
     bond_sweep, bond_sweep_with, site_sweep, site_sweep_ordered_with, site_sweep_with, SweepScratch,

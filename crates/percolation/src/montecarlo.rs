@@ -1,28 +1,20 @@
-//! Parallel Monte-Carlo percolation curves.
+//! Monte-Carlo percolation curves.
 //!
 //! Trials are independent and deterministically seeded
-//! (`seed = base ⊕ trial-index` hashed), so results are reproducible
-//! for any thread count: trials run through
-//! [`par_map_init`](fx_graph::par::par_map_init), with one
-//! [`TrialScratch`] arena per thread (alive mask, traversal scratch,
-//! Newman–Ziff buffers), so a sweep of `t` trials over an `n`-node
-//! graph performs O(threads) arena allocations instead of O(t·n)
-//! (the A3 ablation bench measures the harness itself).
+//! (`seed = base ⊕ trial-index` hashed), and run in trial order on
+//! the calling thread through one set of buffers per call: the lane
+//! engine's [`LaneScratch`] for direct resampling, one
+//! [`SweepScratch`] for Newman–Ziff curves. Parallelism lives one
+//! level up, across campaign cells.
 
-use crate::lanes::{gamma_batch_with, LaneCsr, LaneScratch, MAX_LANES, TRACE_SCALAR_TRIALS};
+use crate::lanes::{gamma_trials_with, LaneScratch, MAX_LANES};
 use crate::newman_ziff::{bond_sweep_with, site_sweep_with, SweepScratch};
-use crate::sample::{gamma_site_with, sample_alive_nodes_into};
-use fx_graph::par::{par_map_init, resolve_threads, CancelToken};
+use crate::sample::sample_alive_nodes_into;
+use fx_graph::par::CancelToken;
 use fx_graph::stats::Welford;
-use fx_graph::{CsrGraph, NodeSet, Scratch};
-use fx_trace::{Histogram, Target};
+use fx_graph::CsrGraph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-// Per-trial duration of the direct-resampling estimator
-// (`FXNET_TRACE=percolation=2`; the sweep estimators are timed in
-// `newman_ziff`). One relaxed load per trial when off.
-static TRACE_TRIAL_NS: Histogram = Histogram::new(Target::Percolation, "mc_trial_ns");
 
 /// Mean/σ pair for a measured quantity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,30 +42,11 @@ impl From<Welford> for Stat {
     }
 }
 
-/// Per-worker trial arena: every buffer a single trial needs.
-#[derive(Debug)]
-struct TrialScratch {
-    alive: NodeSet,
-    scratch: Scratch,
-}
-
-impl TrialScratch {
-    fn new() -> Self {
-        TrialScratch {
-            alive: NodeSet::empty(0),
-            scratch: Scratch::new(),
-        }
-    }
-}
-
 /// Monte-Carlo configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MonteCarlo {
     /// Independent trials per measurement.
     pub trials: usize,
-    /// Worker threads (`1` = inline, `0` = the resolved default:
-    /// `FXNET_THREADS` / available cores).
-    pub threads: usize,
     /// Base seed; trial `i` uses a seed derived from `(base, i)`.
     pub base_seed: u64,
 }
@@ -82,7 +55,6 @@ impl Default for MonteCarlo {
     fn default() -> Self {
         MonteCarlo {
             trials: 32,
-            threads: 0,
             base_seed: 0x5EED,
         }
     }
@@ -100,14 +72,9 @@ pub fn trial_seed(base: u64, i: usize) -> u64 {
 }
 
 impl MonteCarlo {
-    /// The resolved worker count for this configuration.
-    fn threads(&self) -> usize {
-        resolve_threads(self.threads)
-    }
-
     /// `γ(keep)` for **site** percolation by direct resampling.
     ///
-    /// Bernoulli masks are vectorizable, so this dispatches to the
+    /// Bernoulli masks are vectorizable, so this runs the
     /// bit-parallel lane engine ([`crate::lanes`]) at the full
     /// [`MAX_LANES`] width — bit-identical to the scalar path by the
     /// engine's determinism contract.
@@ -117,39 +84,16 @@ impl MonteCarlo {
 
     /// Per-trial γ samples of [`MonteCarlo::gamma_site_at`], in trial
     /// order, at an explicit lane width (`1` = scalar path, `2..=64`
-    /// = lane engine; out-of-range widths clamp). Batches of `width`
-    /// trials, not single trials, are the items of
-    /// [`par_map_init`](fx_graph::par::par_map_init), with one
-    /// [`LaneScratch`] arena per thread.
+    /// = lane engine; out-of-range widths clamp).
     pub fn gamma_site_samples(&self, g: &CsrGraph, keep: f64, lane_width: usize) -> Vec<f64> {
         let n = g.num_nodes();
-        let base = self.base_seed;
-        let width = lane_width.clamp(1, MAX_LANES);
-        if width == 1 || self.trials < 2 {
-            TRACE_SCALAR_TRIALS.add(self.trials as u64);
-            return par_map_init(self.trials, self.threads(), TrialScratch::new, |ts, i| {
-                let t0 = (fx_trace::level(Target::Percolation) >= 2).then(std::time::Instant::now);
-                let mut rng = SmallRng::seed_from_u64(trial_seed(base, i));
-                sample_alive_nodes_into(n, keep, &mut rng, &mut ts.alive);
-                let gamma = gamma_site_with(g, &ts.alive, &mut ts.scratch);
-                if let Some(t0) = t0 {
-                    TRACE_TRIAL_NS.record_always(t0.elapsed().as_nanos() as u64);
-                }
-                gamma
-            });
-        }
-        let trials = self.trials;
-        let batches = trials.div_ceil(width);
-        let csr = LaneCsr::for_graph(g);
-        let per_batch = par_map_init(batches, self.threads(), LaneScratch::new, |ls, b| {
-            let lo = b * width;
-            let count = width.min(trials - lo);
-            gamma_batch_with(g, &csr, ls, count, |t, alive| {
-                let mut rng = SmallRng::seed_from_u64(trial_seed(base, lo + t));
+        let mut scratch = LaneScratch::new();
+        let (gammas, _) =
+            gamma_trials_with(g, self.trials, lane_width, &mut scratch, |i, alive| {
+                let mut rng = SmallRng::seed_from_u64(trial_seed(self.base_seed, i));
                 sample_alive_nodes_into(n, keep, &mut rng, alive);
-            })
-        });
-        per_batch.into_iter().flatten().collect()
+            });
+        gammas
     }
 
     /// Whole `γ(keep)` **site** curve at the given keep-probabilities,
@@ -162,29 +106,14 @@ impl MonteCarlo {
     /// [`MonteCarlo::gamma_site_curve`] with cooperative cancellation:
     /// once `token` fires, remaining trial sweeps are skipped and the
     /// statistics cover the completed trials only. A token that never
-    /// fires yields exactly the uncancelled curve (every trial
-    /// completes, deterministically, for any thread count).
+    /// fires yields exactly the uncancelled curve.
     pub fn gamma_site_curve_cancelable(
         &self,
         g: &CsrGraph,
         keeps: &[f64],
         token: &CancelToken,
     ) -> Vec<Stat> {
-        let n = g.num_nodes();
-        let base = self.base_seed;
-        let curves = par_map_init(
-            self.trials,
-            self.threads(),
-            SweepScratch::new,
-            |sweep, i| {
-                if token.is_cancelled() {
-                    return Vec::new(); // skipped-trial sentinel
-                }
-                let mut rng = SmallRng::seed_from_u64(trial_seed(base, i));
-                site_sweep_with(g, &mut rng, sweep).to_vec()
-            },
-        );
-        curve_stats(&curves, keeps, n, n)
+        self.sweep_stats(g, keeps, g.num_nodes(), token, site_sweep_with)
     }
 
     /// Whole `γ(keep)` **bond** curve (nodes always present), with
@@ -196,48 +125,49 @@ impl MonteCarlo {
         keeps: &[f64],
         token: &CancelToken,
     ) -> Vec<Stat> {
-        let n = g.num_nodes();
-        let m = g.num_edges();
-        let base = self.base_seed;
-        let curves = par_map_init(
-            self.trials,
-            self.threads(),
-            SweepScratch::new,
-            |sweep, i| {
-                if token.is_cancelled() {
-                    return Vec::new(); // skipped-trial sentinel
-                }
-                let mut rng = SmallRng::seed_from_u64(trial_seed(base, i));
-                bond_sweep_with(g, &mut rng, sweep).to_vec()
-            },
-        );
-        curve_stats(&curves, keeps, n, m)
+        self.sweep_stats(g, keeps, g.num_edges(), token, bond_sweep_with)
     }
-}
 
-/// Maps per-trial largest-cluster curves (indexed by occupied count)
-/// to per-keep statistics, streaming each keep's samples through one
-/// Welford accumulator in trial order (deterministic for any
-/// schedule). Empty curves are skipped-trial sentinels from a fired
-/// cancellation token and contribute nothing.
-fn curve_stats(curves: &[Vec<u32>], keeps: &[f64], n: usize, steps: usize) -> Vec<Stat> {
-    keeps
-        .iter()
-        .map(|&q| {
-            let k = ((q * steps as f64).round() as usize).min(steps);
-            let mut w = Welford::default();
-            for c in curves.iter().filter(|c| !c.is_empty()) {
-                w.push(c[k] as f64 / n.max(1) as f64);
+    /// Runs one `sweep` per trial, each returning the largest-cluster
+    /// curve over `steps` occupation events, and maps the curves to
+    /// per-keep statistics (`k = round(keep·steps)`). Each keep's
+    /// samples stream through one [`Welford`] accumulator in trial
+    /// order. The token is polled before every sweep; once it fires,
+    /// the remaining trials are skipped.
+    fn sweep_stats(
+        &self,
+        g: &CsrGraph,
+        keeps: &[f64],
+        steps: usize,
+        token: &CancelToken,
+        sweep: for<'s> fn(&CsrGraph, &mut SmallRng, &'s mut SweepScratch) -> &'s [u32],
+    ) -> Vec<Stat> {
+        let n = g.num_nodes().max(1) as f64;
+        let ks: Vec<usize> = keeps
+            .iter()
+            .map(|&q| ((q * steps as f64).round() as usize).min(steps))
+            .collect();
+        let mut stats = vec![Welford::default(); keeps.len()];
+        let mut scratch = SweepScratch::new();
+        for i in 0..self.trials {
+            if token.is_cancelled() {
+                break;
             }
-            Stat::from(w)
-        })
-        .collect()
+            let mut rng = SmallRng::seed_from_u64(trial_seed(self.base_seed, i));
+            let curve = sweep(g, &mut rng, &mut scratch);
+            for (w, &k) in stats.iter_mut().zip(&ks) {
+                w.push(curve[k] as f64 / n);
+            }
+        }
+        stats.into_iter().map(Stat::from).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fx_graph::generators;
+    use fx_graph::par::par_map;
 
     #[test]
     fn stat_basics() {
@@ -253,7 +183,6 @@ mod tests {
         let g = generators::torus(&[16, 16]);
         let mc = MonteCarlo {
             trials: 8,
-            threads: 2,
             base_seed: 42,
         };
         let keeps = [0.2, 0.5, 0.8, 1.0];
@@ -264,30 +193,22 @@ mod tests {
         assert!((curve[3].mean - 1.0).abs() < 1e-12);
     }
 
-    /// The determinism contract: identical statistics across thread
-    /// counts {1, 2, 8} *and* across repeated calls.
+    /// The determinism contract: identical statistics from repeated
+    /// calls, whether they run on the calling thread or on the helper
+    /// threads of a parallel cell loop at thread counts {1, 2, 8}.
     #[test]
     fn deterministic_across_thread_counts_and_pool_reuse() {
         let g = generators::hypercube(7);
         let keeps = [0.3, 0.6, 0.9];
-        let reference = MonteCarlo {
+        let mc = MonteCarlo {
             trials: 6,
-            threads: 1,
             base_seed: 7,
-        }
-        .gamma_site_curve(&g, &keeps);
+        };
+        let reference = mc.gamma_site_curve(&g, &keeps);
         for threads in [1usize, 2, 8] {
-            let mc = MonteCarlo {
-                trials: 6,
-                threads,
-                base_seed: 7,
-            };
-            for round in 0..3 {
-                let got = mc.gamma_site_curve(&g, &keeps);
-                for (x, y) in reference.iter().zip(&got) {
-                    assert_eq!(x.mean, y.mean, "threads {threads}, round {round}");
-                    assert_eq!(x.std, y.std, "threads {threads}, round {round}");
-                }
+            let rounds = par_map(3, threads, |_| mc.gamma_site_curve(&g, &keeps));
+            for (round, got) in rounds.iter().enumerate() {
+                assert_eq!(&reference, got, "threads {threads}, round {round}");
             }
         }
     }
@@ -299,7 +220,6 @@ mod tests {
         let g = generators::torus(&[20, 20]);
         let mc = MonteCarlo {
             trials: 12,
-            threads: 2,
             base_seed: 3,
         };
         let direct = mc.gamma_site_at(&g, 0.9);
@@ -318,7 +238,6 @@ mod tests {
         let g = generators::cycle(50);
         let mc = MonteCarlo {
             trials: 4,
-            threads: 1,
             base_seed: 5,
         };
         let c = mc.gamma_bond_curve_cancelable(&g, &[0.0, 1.0], &CancelToken::new());
@@ -328,51 +247,21 @@ mod tests {
 
     /// The tentpole contract at the estimator level: per-trial
     /// samples — not just aggregates — are bit-identical between the
-    /// scalar and lane paths, for full and ragged batches, at
-    /// several thread counts.
+    /// scalar and lane paths, for full and ragged batches.
     #[test]
     fn lane_and_scalar_samples_bit_identical() {
         let g = generators::torus(&[9, 9]); // 81 nodes: ragged words
         for trials in [3usize, 64, 70] {
-            let reference = MonteCarlo {
+            let mc = MonteCarlo {
                 trials,
-                threads: 1,
                 base_seed: 0xAB,
-            }
-            .gamma_site_samples(&g, 0.55, 1);
+            };
+            let reference = mc.gamma_site_samples(&g, 0.55, 1);
             assert_eq!(reference.len(), trials);
-            for threads in [1usize, 2, 4] {
-                let mc = MonteCarlo {
-                    trials,
-                    threads,
-                    base_seed: 0xAB,
-                };
-                for width in [2usize, 64] {
-                    let lane = mc.gamma_site_samples(&g, 0.55, width);
-                    assert_eq!(
-                        reference, lane,
-                        "trials {trials}, threads {threads}, width {width}"
-                    );
-                }
+            for width in [2usize, 64] {
+                let lane = mc.gamma_site_samples(&g, 0.55, width);
+                assert_eq!(reference, lane, "trials {trials}, width {width}");
             }
         }
-    }
-
-    #[test]
-    fn zero_threads_resolves_to_default() {
-        let g = generators::cycle(30);
-        let a = MonteCarlo {
-            trials: 4,
-            threads: 0,
-            base_seed: 9,
-        }
-        .gamma_site_at(&g, 0.8);
-        let b = MonteCarlo {
-            trials: 4,
-            threads: 3,
-            base_seed: 9,
-        }
-        .gamma_site_at(&g, 0.8);
-        assert_eq!(a.mean, b.mean, "thread count never changes results");
     }
 }

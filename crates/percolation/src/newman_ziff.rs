@@ -22,8 +22,8 @@ static TRACE_SITE_SWEEP_NS: Histogram = Histogram::new(Target::Percolation, "sit
 static TRACE_BOND_SWEEP_NS: Histogram = Histogram::new(Target::Percolation, "bond_sweep_ns");
 
 /// Reusable buffers for Newman–Ziff sweeps: one per Monte-Carlo
-/// worker, so a 10k-trial curve allocates O(threads) arenas instead
-/// of a fresh permutation + occupancy array + union-find per trial.
+/// loop, so a 10k-trial curve allocates one arena instead of a fresh
+/// permutation + occupancy array + union-find per trial.
 #[derive(Debug, Clone, Default)]
 pub struct SweepScratch {
     order: Vec<NodeId>,

@@ -15,7 +15,7 @@ pub fn sample_alive_nodes<R: Rng + ?Sized>(n: usize, keep: f64, rng: &mut R) -> 
 }
 
 /// [`sample_alive_nodes`] into a reusable mask: the Monte-Carlo
-/// harness keeps one mask per worker instead of allocating one per
+/// harness keeps one mask per loop instead of allocating one per
 /// trial. Sampling is word-parallel
 /// ([`NodeSet::fill_random`]): ~8 RNG draws decide 64 nodes.
 pub fn sample_alive_nodes_into<R: Rng + ?Sized>(

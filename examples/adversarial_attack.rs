@@ -33,7 +33,7 @@ fn main() {
                 "degree" => Box::new(DegreeAdversary { budget }),
                 _ => Box::new(ExactRandomFaults { f: budget }),
             };
-            let r = analyze_adversarial(&net, model.as_ref(), 2.0, &AnalyzerConfig::default());
+            let r = analyze_adversarial(&net, model.as_ref(), 2.0, 0xFA017);
             println!(
                 "{:<8} {:<22} {:>8.3} {:>10} {:>12} {:>11}",
                 r.faults,

@@ -17,7 +17,6 @@ use fault_expansion::prelude::*;
 fn main() {
     let mc = MonteCarlo {
         trials: 24,
-        threads: 0, // the resolved default (FXNET_THREADS / cores)
         base_seed: 2026,
     };
     let keeps: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();

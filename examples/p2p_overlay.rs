@@ -38,7 +38,7 @@ fn main() {
         let delta = net.max_degree();
         let epsilon = 1.0 / (2.0 * delta as f64);
         for &p in &churn_levels {
-            let r = analyze_random(&net, p, epsilon, MESH_SPAN, 12, &AnalyzerConfig::default());
+            let r = analyze_random(&net, p, epsilon, MESH_SPAN, 12, 0xFA017);
             println!(
                 "{:<22} {:>6} {:>7.0}% {:>10.3} {:>11.0}% {:>14.4} {:>12.2e}",
                 net.name,

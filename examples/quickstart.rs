@@ -33,11 +33,12 @@ fn main() {
     // 3. Let an adversary kill 6 nodes, then ask Prune(1 − 1/k) for
     //    the surviving well-expanding core (Theorem 2.1 pipeline).
     //    (Budget chosen so k·f/α ≤ n/4 — the Theorem 2.1 regime.)
+    let seed = 0xFA017;
     let report = analyze_adversarial(
         &net,
         &SparseCutAdversary { budget: 6 },
         2.0, // k
-        &AnalyzerConfig::default(),
+        seed,
     );
     println!("\nadversary: {}", report.adversary);
     println!("faults injected: {}", report.faults);
@@ -70,7 +71,7 @@ fn main() {
     }
 
     // 4. Random faults: how does the same network fare at p = 5%?
-    let rnd = analyze_random(&net, 0.05, 0.125, MESH_SPAN, 16, &AnalyzerConfig::default());
+    let rnd = analyze_random(&net, 0.05, 0.125, MESH_SPAN, 16, seed);
     println!(
         "\nrandom faults p = {:.2}: mean γ = {:.3}, Prune2 success rate = {:.0}%, mean kept = {:.1}%",
         rnd.p,

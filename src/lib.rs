@@ -42,12 +42,8 @@
 //! // Build a 16×16 torus, let an adversary kill 8 nodes, and ask for
 //! // the guaranteed well-expanding core.
 //! let net = Family::Torus { dims: vec![16, 16] }.build(0);
-//! let report = analyze_adversarial(
-//!     &net,
-//!     &SparseCutAdversary { budget: 8 },
-//!     2.0,
-//!     &AnalyzerConfig::default(),
-//! );
+//! let seed = 0xFA017;
+//! let report = analyze_adversarial(&net, &SparseCutAdversary { budget: 8 }, 2.0, seed);
 //! assert!(report.kept > 0);
 //! ```
 //!
@@ -111,8 +107,8 @@ pub use fx_span as span;
 pub mod prelude {
     pub use fx_campaign::{CampaignSpec, RunOptions};
     pub use fx_core::{
-        analyze_adversarial, analyze_random, subdivided_expander, theory_table, AnalyzerConfig,
-        BuiltScenario, Family, Network, Scenario, MESH_SPAN,
+        analyze_adversarial, analyze_random, subdivided_expander, theory_table, BuiltScenario,
+        Family, Network, Scenario, MESH_SPAN,
     };
     pub use fx_expansion::{
         edge_expansion_bounds, node_expansion_bounds, spectral_sweep, Cut, Effort,

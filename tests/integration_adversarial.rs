@@ -89,12 +89,8 @@ fn theorem23_chain_centers_shatter_subdivided_expander() {
 #[test]
 fn sparse_cut_beats_random_on_expander() {
     let net = Family::RandomRegular { n: 300, d: 4 }.build(11);
-    let cfg = AnalyzerConfig {
-        seed: 5,
-        ..Default::default()
-    };
-    let adv = analyze_adversarial(&net, &SparseCutAdversary { budget: 30 }, 2.0, &cfg);
-    let rnd = analyze_adversarial(&net, &ExactRandomFaults { f: 30 }, 2.0, &cfg);
+    let adv = analyze_adversarial(&net, &SparseCutAdversary { budget: 30 }, 2.0, 5);
+    let rnd = analyze_adversarial(&net, &ExactRandomFaults { f: 30 }, 2.0, 5);
     // pruned cores: adversarial faults should cost at least as many
     // total nodes (faults + culled) as random ones
     let adv_loss = net.n() - adv.kept;

@@ -38,7 +38,6 @@ fn metric(cells: &[(Cell, CellResult)], graph: &str, replicate: usize, name: &st
 fn expansion_does_not_predict_random_fault_resilience() {
     let mc = MonteCarlo {
         trials: 10,
-        threads: 2,
         base_seed: 31,
     };
     // torus: ~1.6k nodes, α ~ 1/40; subdivided: k=16 chains on a
@@ -65,7 +64,6 @@ fn expansion_does_not_predict_random_fault_resilience() {
 fn subdivided_tolerance_scales_inversely_with_k() {
     let mc = MonteCarlo {
         trials: 12,
-        threads: 2,
         base_seed: 17,
     };
     let mut tolerance = Vec::new();
@@ -88,12 +86,7 @@ fn subdivided_tolerance_scales_inversely_with_k() {
 #[test]
 fn prune2_succeeds_on_torus_at_light_p() {
     let net = Family::Torus { dims: vec![12, 12] }.build(0);
-    let cfg = AnalyzerConfig {
-        seed: 23,
-        threads: 2,
-        ..Default::default()
-    };
-    let r = analyze_random(&net, 0.02, 0.125, MESH_SPAN, 10, &cfg);
+    let r = analyze_random(&net, 0.02, 0.125, MESH_SPAN, 10, 23);
     assert!(r.success_rate >= 0.9, "success rate {}", r.success_rate);
     assert!(r.mean_kept_fraction > 0.8);
     assert!(r.mean_alpha_e_after > 0.0);
@@ -110,7 +103,6 @@ fn prune2_succeeds_on_torus_at_light_p() {
 fn survey_thresholds_two_points() {
     let mc = MonteCarlo {
         trials: 12,
-        threads: 2,
         base_seed: 19,
     };
     let kn = Family::Complete { n: 100 }.build(0);
@@ -128,24 +120,6 @@ fn survey_thresholds_two_points() {
         "2-D bond threshold ≈ 1/2 (Kesten), got {}",
         torus_est.p_star
     );
-}
-
-/// Monte-Carlo determinism across thread counts (the A3 property the
-/// whole experiment suite relies on).
-#[test]
-fn random_pipeline_thread_count_invariance() {
-    let net = Family::Hypercube { d: 6 }.build(0);
-    let base = AnalyzerConfig {
-        seed: 77,
-        threads: 1,
-        ..Default::default()
-    };
-    let par = AnalyzerConfig { threads: 4, ..base };
-    let a = analyze_random(&net, 0.08, 0.1, 2.0, 8, &base);
-    let b = analyze_random(&net, 0.08, 0.1, 2.0, 8, &par);
-    assert_eq!(a.mean_gamma, b.mean_gamma);
-    assert_eq!(a.mean_kept_fraction, b.mean_kept_fraction);
-    assert_eq!(a.success_rate, b.success_rate);
 }
 
 /// Edge faults: the hypercube keeps a giant component at constant

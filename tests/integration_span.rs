@@ -236,7 +236,6 @@ fn counting_spec_counts_stay_within_claim32_bound() {
 fn span_bound_ranks_match_measured_thresholds() {
     let mc = MonteCarlo {
         trials: 8,
-        threads: 2,
         base_seed: 3,
     };
     // torus (σ = 2) vs subdivided expander with long chains (σ grows
