@@ -12,7 +12,7 @@
 use crate::agg::{aggregate, GroupAggregate};
 use crate::exec::{run_cell_resilient, CellResult};
 use crate::grid::{expand, Cell};
-use crate::journal::{merge_journals, Journal, LoadReport};
+use crate::journal::{Journal, LoadReport};
 use crate::spec::CampaignSpec;
 use crate::store_key::store_key;
 use crate::table::{f as fmt_f, write_csv, Table};
@@ -150,6 +150,17 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
         None => None,
     };
     let loaded = journal.load_report()?;
+    if loaded.corrupt > 0 {
+        // a corrupt line holds no usable record (its cell re-runs
+        // below or on the next resume), so rewrite the journal from
+        // this load before appending: `--strict` then reports only
+        // damage still on disk
+        journal.rewrite(&loaded)?;
+        eprintln!(
+            "campaign {}: dropped {} corrupt journal line(s)",
+            spec.name, loaded.corrupt
+        );
+    }
     let records = grid_records(&loaded, &keys);
     // only successful records count as done: quarantined cells re-run
     // like unseen cells, with their cumulative attempt count carried
@@ -207,7 +218,7 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
                     // publish (disk full, chaos) is non-fatal — the
                     // result just stays unmemoized.
                     if let Some(store) = &store {
-                        if result.failed == 0 && result.metric("timed_out").is_none() {
+                        if result.publishable() {
                             let _ = store.put(key, &fx_json::to_string(&result));
                         }
                     }
@@ -257,19 +268,7 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
 
     // reload so aggregation sees exactly what is durable on disk,
     // including the cells this invocation just appended
-    let mut reloaded = journal.load_report()?;
-    if reloaded.corrupt > 0 {
-        // a corrupt line holds no usable record (its cell re-ran above
-        // or re-runs on the next resume), so rewrite the journal
-        // without it: `--strict` then reports only damage still on disk
-        let path = journal.path().to_path_buf();
-        merge_journals(std::slice::from_ref(&path), &path)?;
-        eprintln!(
-            "campaign {}: dropped {} corrupt journal line(s)",
-            spec.name, reloaded.corrupt
-        );
-        reloaded = journal.load_report()?;
-    }
+    let reloaded = journal.load_report()?;
     let mut summary = finish(spec, opts, &journal, &reloaded, &keys, skipped, executed)?;
     summary
         .artifacts
@@ -288,7 +287,7 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
 pub(crate) fn store_lookup(store: &fx_store::Store, cell: &Cell, key: u64) -> Option<CellResult> {
     let payload = store.get(key)?;
     let mut result: CellResult = fx_json::from_str(&payload).ok()?;
-    if result.failed != 0 || result.metric("timed_out").is_some() {
+    if !result.publishable() {
         return None;
     }
     result.key = cell.key();

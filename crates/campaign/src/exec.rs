@@ -127,6 +127,14 @@ impl CellResult {
             .find(|(k, _)| k == name)
             .map(|(_, v)| *v)
     }
+
+    /// Whether the result may be published to, or served from, the
+    /// cell store: a clean success, neither quarantined nor timed out.
+    /// Anything else must never stand in for a cell that a later run
+    /// could complete.
+    pub fn publishable(&self) -> bool {
+        self.failed == 0 && self.metric("timed_out").is_none()
+    }
 }
 
 std::thread_local! {
@@ -497,11 +505,10 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
 }
 
 std::thread_local! {
-    /// True while this thread is executing a cell attempt under
-    /// [`run_cell_resilient`]'s `catch_unwind`: the panic hook stays
-    /// silent for these panics (they are expected, isolated, and
-    /// reported through the quarantine record instead of stderr
-    /// backtraces).
+    /// True while this thread is inside [`isolated`]: the panic hook
+    /// stays silent for these panics (they are expected, isolated, and
+    /// reported through the quarantine record or the error answer
+    /// instead of stderr backtraces).
     static SUPPRESS_PANIC_OUTPUT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -531,6 +538,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Runs `f` with panic isolation: a panic inside is caught, prints
+/// nothing, and comes back as `Err` with its message. Every cell
+/// attempt runs through this — the engine's retried attempts and the
+/// `fxnet serve` compute pool's single ones.
+pub(crate) fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    install_quiet_panic_hook();
+    SUPPRESS_PANIC_OUTPUT.with(|c| c.set(true));
+    let outcome = catch_unwind(AssertUnwindSafe(f));
+    SUPPRESS_PANIC_OUTPUT.with(|c| c.set(false));
+    outcome.map_err(|payload| panic_message(payload.as_ref()))
+}
+
 /// Executes one cell with panic isolation, chaos injection, and the
 /// `[params] retries` budget: each attempt runs under `catch_unwind`;
 /// a panicking attempt is retried after a deterministic bounded
@@ -549,16 +569,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// attempt number never leaks into metrics, which is what keeps
 /// chaos-run + retries + resume bit-identical to a clean run.
 pub fn run_cell_resilient(spec: &CampaignSpec, cell: &Cell, base_attempt: u64) -> CellResult {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     let retries = cell_params(spec, cell).retries;
     let identity = fx_store::fnv1a(cell.key().as_bytes());
     let started = Instant::now();
-    install_quiet_panic_hook();
     let mut last_error = String::new();
     for attempt in 0..=(retries as u64) {
         let attempt_id = base_attempt + attempt;
-        SUPPRESS_PANIC_OUTPUT.with(|c| c.set(true));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = isolated(|| {
             // The cell_panic chaos site: pre-algo (before any work) or
             // post-algo (all work done, result discarded), picked by a
             // second deterministic coin. Off path: one relaxed load.
@@ -571,15 +588,14 @@ pub fn run_cell_resilient(spec: &CampaignSpec, cell: &Cell, base_attempt: u64) -
                 panic!("chaos: injected post-algo panic (attempt {attempt_id})");
             }
             result
-        }));
-        SUPPRESS_PANIC_OUTPUT.with(|c| c.set(false));
+        });
         match outcome {
             Ok(mut result) => {
                 result.attempts = base_attempt + attempt + 1;
                 return result;
             }
-            Err(payload) => {
-                last_error = panic_message(payload.as_ref());
+            Err(message) => {
+                last_error = message;
                 if attempt < retries as u64 {
                     // deterministic bounded backoff before the retry
                     std::thread::sleep(Duration::from_millis((1u64 << attempt.min(6)).min(50)));
@@ -602,24 +618,6 @@ pub fn run_cell_resilient(spec: &CampaignSpec, cell: &Cell, base_attempt: u64) -
         attempts: base_attempt + retries as u64 + 1,
         cache_hit: 0,
     }
-}
-
-/// Executes one cell under an external token with panic isolation but
-/// **no retries**: one attempt, panics rendered as `Err` with the
-/// quiet-hook suppression `run_cell_resilient` uses. The `fxnet serve`
-/// compute pool runs cells through this — a serve retry is the
-/// client's decision (the 5xx answer says so), not the server's.
-pub(crate) fn run_cell_isolated(
-    spec: &CampaignSpec,
-    cell: &Cell,
-    token: &CancelToken,
-) -> Result<CellResult, String> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    install_quiet_panic_hook();
-    SUPPRESS_PANIC_OUTPUT.with(|c| c.set(true));
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_cell_cancelable(spec, cell, token)));
-    SUPPRESS_PANIC_OUTPUT.with(|c| c.set(false));
-    outcome.map_err(|payload| panic_message(payload.as_ref()))
 }
 
 /// Construction-level metrics every cell of a derived scenario

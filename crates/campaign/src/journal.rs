@@ -137,6 +137,29 @@ impl Journal {
         Ok(journal)
     }
 
+    /// Replaces the journal's contents with `loaded`'s records, each
+    /// sealed under its key — the repair that drops corrupt and
+    /// keyless lines, and the output step of [`merge_journals`]. The
+    /// text goes to a temporary file renamed over the journal, so an
+    /// interrupted rewrite never leaves it truncated: journal lines are
+    /// paid-for work.
+    pub fn rewrite(&self, loaded: &LoadReport) -> Result<(), String> {
+        let path = self.path();
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)
+                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
+        }
+        let mut text = String::new();
+        for (key, r) in loaded.keys.iter().zip(&loaded.results) {
+            text.push_str(&log::seal(*key, &fx_json::to_string(r)));
+            text.push('\n');
+        }
+        let tmp = path.with_extension("jsonl.rewrite-tmp");
+        std::fs::write(&tmp, text).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
+        std::fs::rename(&tmp, path)
+            .map_err(|e| format!("cannot move rewritten journal into {}: {e}", path.display()))
+    }
+
     /// Appends one result under its cell's store `key`. A failing
     /// write — real or injected through the `io_error` chaos site — is
     /// retried up to the journal's I/O budget; after exhaustion the
@@ -217,22 +240,7 @@ pub fn merge_journals_checked(
         }
     }
     let unique = merged.results.len();
-    if let Some(parent) = output.parent() {
-        std::fs::create_dir_all(parent)
-            .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-    }
-    let mut text = String::new();
-    for (key, r) in merged.keys.iter().zip(&merged.results) {
-        text.push_str(&log::seal(*key, &fx_json::to_string(r)));
-        text.push('\n');
-    }
-    // write-then-rename: an interrupted merge must never leave the
-    // output (possibly one of the inputs) truncated — journal lines
-    // are paid-for work
-    let tmp = output.with_extension("jsonl.merge-tmp");
-    std::fs::write(&tmp, text).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, output)
-        .map_err(|e| format!("cannot move merged journal into {}: {e}", output.display()))?;
+    Journal::new(output.to_path_buf()).rewrite(&merged)?;
     Ok(MergeSummary {
         read,
         unique,

@@ -141,4 +141,4 @@ pub use serve::{cell_body, compute_cell, index_cells, resolve_cell, serve, Serve
 pub use spec::{
     Algo, CampaignSpec, ChurnCurves, FaultSpec, GridOverrides, GridSpec, Params, TargetBy,
 };
-pub use store_key::{store_identity, store_key};
+pub use store_key::{store_identity, store_key, RESULTS_EPOCH};

@@ -4,9 +4,8 @@
 //! A cell's metrics are a pure function of its identity-derived seed,
 //! so "γ for this scenario × fault × algorithm" is a perfect
 //! memoization target: warm queries answer from the content-addressed
-//! [`fx_store::Store`], cold queries are scheduled onto a small
-//! compute pool through a **bounded priority queue** (priority =
-//! waiter count, so hot cells jump the line) with single-flight
+//! [`fx_store::Store`], cold queries wait their turn for a small
+//! compute pool in a **bounded FIFO queue** with single-flight
 //! coalescing — N concurrent identical misses cost one computation.
 //! When the queue is full the daemon answers `429 Too Many Requests`
 //! with a `Retry-After` header instead of accepting unbounded work.
@@ -14,7 +13,9 @@
 //! The HTTP layer is a hand-rolled blocking HTTP/1.1 server (the
 //! build environment is offline — no crates.io), deliberately tiny:
 //! GET only, no body parsing, bounded request-line/header sizes,
-//! keep-alive + pipelining via a per-connection read loop. Endpoints:
+//! keep-alive + pipelining via a per-connection read loop. Each HTTP
+//! worker accepts its own connections off the shared listener.
+//! Endpoints:
 //!
 //! * `GET /v1/cell?scenario=S&fault=F&algo=A[&replicate=N]` — the
 //!   query surface. The response body is **deterministic** (identity
@@ -31,19 +32,20 @@
 //!   `FXNET_TRACE=serve` works and tests can assert single-flight.
 //!
 //! Failure containment mirrors the campaign engine: a panicking cell
-//! is caught by [`run_cell_resilient`](crate::run_cell_resilient)'s
-//! machinery downstream of the same chaos sites, a failed cell answers
-//! `500` without wedging a worker, and `store_io` chaos degrades
-//! lookups to recomputes — by the determinism contract the served
-//! bytes never change.
+//! is caught by the panic isolation the engine's
+//! [`run_cell_resilient`](crate::run_cell_resilient) attempts also
+//! run under (only those attempts fire the `cell_panic` chaos site;
+//! serve's never do), a failed cell answers `500` without wedging a
+//! worker, and `store_io` chaos degrades lookups to recomputes — by
+//! the determinism contract the served bytes never change.
 
 use crate::engine::store_lookup;
-use crate::exec::{cell_params, CellResult};
+use crate::exec::{cell_params, run_cell_cancelable, CellResult};
 use crate::grid::{cell_seed, expand, Cell};
 use crate::spec::{Algo, CampaignSpec};
 use fx_graph::par::CancelToken;
 use fx_trace::{Counter, Target};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,7 +103,7 @@ impl Default for ServeOptions {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling: single-flight jobs behind a bounded priority queue
+// Scheduling: single-flight jobs behind a bounded FIFO queue
 // ---------------------------------------------------------------------------
 
 /// One in-flight cold cell. All concurrent requests for the same
@@ -112,45 +114,16 @@ struct Job {
     /// `None` until computed; then the terminal outcome.
     done: Mutex<Option<Result<CellResult, String>>>,
     cv: Condvar,
-    /// Requests waiting on this job — the scheduling priority.
-    waiters: AtomicU64,
-    /// True while the job is still in the queue (not yet claimed by a
-    /// compute worker). Cleared exactly once; duplicate lazy heap
-    /// entries observe `false` and are skipped.
-    queued: AtomicBool,
-}
-
-/// Max-heap entry: higher waiter-count first, then FIFO.
-struct QueueEntry {
-    prio: u64,
-    seq: u64,
-    key: u64,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.prio == other.prio && self.seq == other.seq
-    }
-}
-impl Eq for QueueEntry {}
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.prio.cmp(&other.prio).then(other.seq.cmp(&self.seq)) // earlier seq wins ties
-    }
 }
 
 #[derive(Default)]
 struct JobQueue {
-    heap: BinaryHeap<QueueEntry>,
+    /// Jobs waiting for a compute worker, oldest first — the bounded
+    /// quantity.
+    waiting: VecDeque<Arc<Job>>,
+    /// Every job not yet finished (waiting or computing), by key: the
+    /// single-flight index.
     jobs: HashMap<u64, Arc<Job>>,
-    /// Jobs in `Queued` state — the bounded quantity.
-    queued: usize,
-    seq: u64,
 }
 
 #[derive(Default)]
@@ -174,8 +147,6 @@ struct Shared {
     opts: ServeOptions,
     stop: AtomicBool,
     cancel: CancelToken,
-    conns: Mutex<VecDeque<TcpStream>>,
-    conns_cv: Condvar,
     queue: Mutex<JobQueue>,
     queue_cv: Condvar,
     stats: Stats,
@@ -216,28 +187,18 @@ pub fn serve(spec: &CampaignSpec, opts: &ServeOptions) -> Result<Server, String>
         opts: opts.clone(),
         stop: AtomicBool::new(false),
         cancel: CancelToken::new(),
-        conns: Mutex::new(VecDeque::new()),
-        conns_cv: Condvar::new(),
         queue: Mutex::new(JobQueue::default()),
         queue_cv: Condvar::new(),
         stats: Stats::default(),
     });
     let mut threads = Vec::new();
-    {
-        let shared = shared.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("serve-accept".into())
-                .spawn(move || accept_loop(listener, &shared))
-                .map_err(|e| format!("spawn: {e}"))?,
-        );
-    }
     for i in 0..opts.http_threads.max(1) {
         let shared = shared.clone();
+        let listener = listener.try_clone().map_err(|e| format!("listener: {e}"))?;
         threads.push(
             std::thread::Builder::new()
                 .name(format!("serve-http-{i}"))
-                .spawn(move || http_worker(&shared))
+                .spawn(move || http_worker(&listener, &shared))
                 .map_err(|e| format!("spawn: {e}"))?,
         );
     }
@@ -276,10 +237,17 @@ impl Server {
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.cancel.cancel();
-        // Wake the accept loop with a throwaway connection; wake the
-        // worker pools through their condvars.
-        let _ = TcpStream::connect(self.addr);
-        self.shared.conns_cv.notify_all();
+        // Wake each HTTP worker's accept with a throwaway connection
+        // (one apiece: a worker returns on the first connection it
+        // accepts after `stop`); wake the compute pool through its
+        // condvar.
+        for _ in 0..self.shared.opts.http_threads.max(1) {
+            let _ = TcpStream::connect(self.addr);
+        }
+        // Passing through the queue lock orders `stop` before every
+        // compute worker's next check, so none can check, miss the
+        // notify, and then wait forever.
+        drop(self.shared.queue.lock());
         self.shared.queue_cv.notify_all();
         // Waiters parked on job condvars re-check `stop` on their
         // wait timeout; computed jobs notify as usual.
@@ -310,39 +278,19 @@ fn canonical_cell_key(cell: &Cell) -> String {
     )
 }
 
-fn accept_loop(listener: TcpListener, shared: &Shared) {
-    for conn in listener.incoming() {
+fn http_worker(listener: &TcpListener, shared: &Shared) {
+    loop {
+        let accepted = listener.accept();
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = conn else { continue };
+        let Ok((stream, _)) = accepted else { continue };
         // Without it, Nagle's algorithm holds a response until the
         // client's delayed ACK of the previous one (~40 ms).
         let _ = stream.set_nodelay(true);
-        let mut conns = shared.conns.lock().unwrap();
-        conns.push_back(stream);
-        drop(conns);
-        shared.conns_cv.notify_one();
-    }
-}
-
-fn http_worker(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut conns = shared.conns.lock().unwrap();
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                match conns.pop_front() {
-                    Some(s) => break s,
-                    None => conns = shared.conns_cv.wait(conns).unwrap(),
-                }
-            }
-        };
         // Errors on one connection (including a client that vanished
         // mid-response) only end that connection; the worker returns
-        // to the pool either way — a wedged worker would be a
+        // to accepting either way — a wedged worker would be a
         // denial-of-service bug.
         handle_connection(stream, shared);
     }
@@ -589,7 +537,7 @@ fn route(path: &str, shared: &Shared) -> Response {
 
 fn stats_response(shared: &Shared) -> Response {
     use fx_json::Json;
-    let queue_depth = shared.queue.lock().unwrap().queued as u64;
+    let queue_depth = shared.queue.lock().unwrap().waiting.len() as u64;
     let s = &shared.stats;
     let u = |n: &AtomicU64| Json::UInt(n.load(Ordering::Relaxed));
     let body = Json::Obj(vec![
@@ -750,24 +698,13 @@ fn cell_response(query: &str, shared: &Shared) -> Response {
     let job = {
         let mut queue = shared.queue.lock().unwrap();
         if let Some(job) = queue.jobs.get(&key).cloned() {
-            // Coalesce onto the in-flight computation; the extra
-            // waiter bumps the job's queue priority (lazy re-push —
-            // stale entries are skipped at pop time).
-            let waiters = job.waiters.fetch_add(1, Ordering::Relaxed) + 1;
+            // Coalesce onto the in-flight computation (waiting or
+            // already computing): no queue slot needed.
             shared.stats.coalesced.fetch_add(1, Ordering::Relaxed);
             TRACE_COALESCED.incr();
-            if job.queued.load(Ordering::Relaxed) {
-                queue.seq += 1;
-                let seq = queue.seq;
-                queue.heap.push(QueueEntry {
-                    prio: waiters,
-                    seq,
-                    key,
-                });
-            }
             job
         } else {
-            if queue.queued >= shared.opts.queue_cap {
+            if queue.waiting.len() >= shared.opts.queue_cap {
                 drop(queue);
                 shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 TRACE_REJECTED.incr();
@@ -785,14 +722,9 @@ fn cell_response(query: &str, shared: &Shared) -> Response {
                 key,
                 done: Mutex::new(None),
                 cv: Condvar::new(),
-                waiters: AtomicU64::new(1),
-                queued: AtomicBool::new(true),
             });
             queue.jobs.insert(key, job.clone());
-            queue.queued += 1;
-            queue.seq += 1;
-            let seq = queue.seq;
-            queue.heap.push(QueueEntry { prio: 1, seq, key });
+            queue.waiting.push_back(job.clone());
             drop(queue);
             shared.queue_cv.notify_one();
             job
@@ -810,7 +742,6 @@ fn cell_response(query: &str, shared: &Shared) -> Response {
         })
         .unwrap();
     if done.is_none() {
-        job.waiters.fetch_sub(1, Ordering::Relaxed);
         return if shared.stop.load(Ordering::SeqCst) {
             Response::error(503, "Service Unavailable", "server is shutting down")
         } else {
@@ -843,17 +774,8 @@ fn compute_worker(shared: &Shared) {
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
                 }
-                match queue.heap.pop() {
-                    Some(entry) => {
-                        let Some(job) = queue.jobs.get(&entry.key).cloned() else {
-                            continue; // finished; stale lazy entry
-                        };
-                        if !job.queued.swap(false, Ordering::Relaxed) {
-                            continue; // duplicate entry; already claimed
-                        }
-                        queue.queued -= 1;
-                        break job;
-                    }
+                match queue.waiting.pop_front() {
+                    Some(job) => break job,
                     None => queue = shared.queue_cv.wait(queue).unwrap(),
                 }
             }
@@ -876,9 +798,11 @@ fn compute_worker(shared: &Shared) {
 
 /// Runs one cold cell (a daemon miss, or `fxnet cell`) under the
 /// spec's effective `timeout_ms` if set, else under `cancel` (the
-/// daemon's shutdown token). Quarantine semantics match the engine: a
-/// panicking, failed or timed-out cell is an error, never a
-/// publishable result.
+/// daemon's shutdown token). One isolated attempt, no retries: a
+/// serve retry is the client's decision (the 5xx answer says so), not
+/// the server's. A panicking or timed-out cell is an error, never a
+/// publishable result (a single attempt is never quarantined, so an
+/// unpublishable result is a timed-out one).
 pub fn compute_cell(
     spec: &CampaignSpec,
     cell: &Cell,
@@ -888,12 +812,8 @@ pub fn compute_cell(
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => cancel.clone(),
     };
-    let result = crate::exec::run_cell_isolated(spec, cell, &token)?;
-    if result.failed != 0 {
-        return Err(result.error);
+    match crate::exec::isolated(|| run_cell_cancelable(spec, cell, &token))? {
+        result if result.publishable() => Ok(result),
+        _ => Err("cell timed out".to_string()),
     }
-    if result.metric("timed_out").is_some() {
-        return Err("cell timed out".to_string());
-    }
-    Ok(result)
 }

@@ -29,8 +29,17 @@ use crate::exec::cell_params;
 use crate::grid::Cell;
 use crate::spec::CampaignSpec;
 
-/// The canonical identity string `store_key` hashes. Versioned so a
-/// future keying change can never silently alias old entries.
+/// The results epoch every [`store_identity`] starts with
+/// (`fx-store/<epoch>|…`). A declared re-baseline — a change that
+/// moves journaled bits, so a line of `specs/golden.sha256` changes —
+/// bumps it: every journal record and store entry made by older code
+/// then stops matching, and a kept `--out`, a warm `[params] store` or
+/// `fxnet serve` recomputes instead of reusing stale results.
+pub const RESULTS_EPOCH: u32 = 1;
+
+/// The canonical identity string `store_key` hashes. Versioned by
+/// [`RESULTS_EPOCH`], so older results and a future keying change can
+/// never silently alias current entries.
 pub fn store_identity(spec: &CampaignSpec, cell: &Cell) -> String {
     let canonical = fx_core::Scenario::from_spec(&cell.graph)
         .map(|s| s.to_string())
@@ -41,9 +50,9 @@ pub fn store_identity(spec: &CampaignSpec, cell: &Cell) -> String {
         None => "auto".to_string(),
     };
     format!(
-        "fx-store/1|{canonical}|{fault}|{algo}|r{rep}|seed={seed:016x}|k={k}|eps={epsilon}\
-         |sigma={sigma}|trials={trials}|samples={samples}|gamma={gamma}|grid={grid}\
-         |mode={mode}|curves={curves}",
+        "fx-store/{RESULTS_EPOCH}|{canonical}|{fault}|{algo}|r{rep}|seed={seed:016x}|k={k}\
+         |eps={epsilon}|sigma={sigma}|trials={trials}|samples={samples}|gamma={gamma}\
+         |grid={grid}|mode={mode}|curves={curves}",
         fault = cell.fault,
         algo = cell.algo,
         rep = cell.replicate,

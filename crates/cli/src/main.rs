@@ -76,8 +76,8 @@ commands:
                                                 queries answer from the spec's
                                                 [params] store; misses are
                                                 single-flighted through a bounded
-                                                priority queue and published back
-                                                to the store. A full queue answers
+                                                FIFO queue and published back to
+                                                the store. A full queue answers
                                                 429 + Retry-After instead of
                                                 accepting unbounded work.
 

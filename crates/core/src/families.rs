@@ -68,20 +68,6 @@ pub enum Family {
     },
 }
 
-fx_json::impl_json_enum!(Family {
-    Hypercube { d },
-    Mesh { dims },
-    Torus { dims },
-    Butterfly { d },
-    WrappedButterfly { d },
-    DeBruijn { d },
-    ShuffleExchange { d },
-    Margulis { m },
-    RandomRegular { n, d },
-    Cycle { n },
-    Complete { n },
-});
-
 impl Family {
     /// Builds the graph (randomized families use `seed`).
     pub fn build(&self, seed: u64) -> Network {
@@ -299,14 +285,5 @@ mod tests {
         assert!(Family::from_spec("hypercube:1,2").is_err());
         assert!(Family::from_spec("klein-bottle:3").is_err());
         assert!(Family::from_spec("mesh:3,x").is_err());
-    }
-
-    #[test]
-    fn family_json_roundtrip() {
-        let f = Family::Mesh { dims: vec![8, 8] };
-        let js = fx_json::to_string(&f);
-        assert_eq!(js, "{\"Mesh\":{\"dims\":[8,8]}}");
-        let back: Family = fx_json::from_str(&js).unwrap();
-        assert_eq!(f, back);
     }
 }

@@ -29,7 +29,7 @@ pub use analyzer::{analyze_adversarial, analyze_random};
 pub use diffusion::{diffuse, point_load, DiffusionOutcome};
 pub use embedding::{embed_nearest, EmbeddingQuality};
 pub use families::{subdivided_expander, Family};
-pub use network::{Network, NetworkSummary};
+pub use network::Network;
 pub use report::{AdversarialReport, BoundsSummary, RandomFaultReport};
 pub use scenario::{BuiltScenario, OverlayInfo, Scenario, ScenarioKind};
 pub use theory::{theory_table, TheoryTable, MESH_SPAN};

@@ -37,37 +37,6 @@ impl Network {
     }
 }
 
-/// Serializable summary of a network (for report JSON).
-#[derive(Debug, Clone)]
-pub struct NetworkSummary {
-    /// Display name.
-    pub name: String,
-    /// Node count.
-    pub nodes: usize,
-    /// Edge count.
-    pub edges: usize,
-    /// Maximum degree.
-    pub max_degree: usize,
-}
-
-fx_json::impl_json_object!(NetworkSummary {
-    name,
-    nodes,
-    edges,
-    max_degree
-});
-
-impl From<&Network> for NetworkSummary {
-    fn from(n: &Network) -> Self {
-        NetworkSummary {
-            name: n.name.clone(),
-            nodes: n.n(),
-            edges: n.graph.num_edges(),
-            max_degree: n.max_degree(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,11 +47,8 @@ mod tests {
         let net = Network::new("Q4", generators::hypercube(4));
         assert_eq!(net.n(), 16);
         assert_eq!(net.max_degree(), 4);
-        let s = NetworkSummary::from(&net);
-        assert_eq!(s.nodes, 16);
-        assert_eq!(s.edges, 32);
-        assert_eq!(s.name, "Q4");
-        let js = fx_json::to_string(&s);
-        assert!(js.contains("\"max_degree\":4"));
+        assert_eq!(net.graph.num_edges(), 32);
+        assert_eq!(net.name, "Q4");
+        assert_eq!(net.full_mask().len(), 16);
     }
 }

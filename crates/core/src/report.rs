@@ -1,8 +1,9 @@
-//! Serializable report types: what the analyses hand back.
+//! Report types: what the analyses hand back (exec, the CLI and the
+//! examples read their fields).
 
 use fx_expansion::ExpansionBounds;
 
-/// Serializable form of an expansion interval.
+/// An expansion interval as the reports carry it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundsSummary {
     /// Certified lower bound.
@@ -12,12 +13,6 @@ pub struct BoundsSummary {
     /// Whether lower == upper came from exhaustive search.
     pub exact: bool,
 }
-
-fx_json::impl_json_object!(BoundsSummary {
-    lower,
-    upper,
-    exact
-});
 
 impl From<&ExpansionBounds> for BoundsSummary {
     fn from(b: &ExpansionBounds) -> Self {
@@ -71,22 +66,6 @@ pub struct AdversarialReport {
     pub certified: bool,
 }
 
-fx_json::impl_json_object!(AdversarialReport {
-    network,
-    adversary,
-    n,
-    faults,
-    alpha_before,
-    gamma_after_faults,
-    epsilon,
-    kept,
-    culled,
-    alpha_after,
-    guaranteed_min_kept,
-    guaranteed_min_expansion,
-    certified
-});
-
 /// Report of one random-fault analysis (Theorem 3.4 pipeline),
 /// aggregated over trials.
 #[derive(Debug, Clone)]
@@ -119,21 +98,6 @@ pub struct RandomFaultReport {
     pub theorem34_applicable: bool,
 }
 
-fx_json::impl_json_object!(RandomFaultReport {
-    network,
-    p,
-    trials,
-    n,
-    alpha_e_before,
-    epsilon,
-    mean_gamma,
-    mean_kept_fraction,
-    success_rate,
-    mean_alpha_e_after,
-    theorem34_max_p,
-    theorem34_applicable
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,38 +113,5 @@ mod tests {
         let s = BoundsSummary::from(&b);
         assert_eq!(s.upper, None);
         assert!((s.point() - 0.1).abs() < 1e-12);
-        let js = fx_json::to_string(&s);
-        assert!(js.contains("null"));
-    }
-
-    #[test]
-    fn reports_roundtrip_json() {
-        let r = AdversarialReport {
-            network: "Q4".into(),
-            adversary: "sparse-cut(f=2)".into(),
-            n: 16,
-            faults: 2,
-            alpha_before: BoundsSummary {
-                lower: 0.5,
-                upper: Some(1.0),
-                exact: false,
-            },
-            gamma_after_faults: 0.9,
-            epsilon: 0.5,
-            kept: 14,
-            culled: 0,
-            alpha_after: BoundsSummary {
-                lower: 0.4,
-                upper: Some(0.8),
-                exact: false,
-            },
-            guaranteed_min_kept: Some(12.0),
-            guaranteed_min_expansion: Some(0.25),
-            certified: true,
-        };
-        let js = fx_json::to_string(&r);
-        let back: AdversarialReport = fx_json::from_str(&js).unwrap();
-        assert_eq!(back.kept, 14);
-        assert_eq!(back.network, "Q4");
     }
 }

@@ -24,17 +24,6 @@ pub struct TheoryTable {
     pub diameter_bound: f64,
 }
 
-fx_json::impl_json_object!(TheoryTable {
-    n,
-    delta,
-    sigma,
-    thm21_max_faults_k2,
-    thm34_max_p,
-    thm34_max_epsilon,
-    thm34_min_alpha_e,
-    diameter_bound
-});
-
 /// Builds the table given measured/known `alpha` (node expansion) and
 /// `sigma`.
 pub fn theory_table(n: usize, delta: usize, alpha: f64, sigma: f64) -> TheoryTable {
@@ -68,8 +57,6 @@ mod tests {
         assert!((t.thm34_max_epsilon - 0.125).abs() < 1e-12);
         assert!(t.thm34_max_p > 0.0 && t.thm34_max_p < 1e-4);
         assert!(t.diameter_bound > 0.0);
-        let js = fx_json::to_string(&t);
-        assert!(js.contains("thm34_max_p"));
     }
 
     #[test]

@@ -398,30 +398,6 @@ impl<'a> IntoIterator for &'a NodeSet {
     }
 }
 
-// JSON form: `{"capacity": n, "nodes": [ids…]}` — semantic rather than
-// word-level, so the encoding is independent of WORD_BITS.
-impl fx_json::ToJson for NodeSet {
-    fn to_json(&self) -> fx_json::Json {
-        fx_json::Json::Obj(vec![
-            ("capacity".to_string(), self.capacity.to_json()),
-            ("nodes".to_string(), self.to_vec().to_json()),
-        ])
-    }
-}
-
-impl fx_json::FromJson for NodeSet {
-    fn from_json(v: &fx_json::Json) -> Result<Self, String> {
-        let capacity = usize::from_json(v.get("capacity").unwrap_or(&fx_json::Json::Null))
-            .map_err(|e| format!("NodeSet.capacity: {e}"))?;
-        let nodes = Vec::<NodeId>::from_json(v.get("nodes").unwrap_or(&fx_json::Json::Null))
-            .map_err(|e| format!("NodeSet.nodes: {e}"))?;
-        if let Some(&bad) = nodes.iter().find(|&&id| id as usize >= capacity) {
-            return Err(format!("NodeSet: node {bad} outside capacity {capacity}"));
-        }
-        Ok(NodeSet::from_iter(capacity, nodes))
-    }
-}
-
 /// Transposes a 64×64 bit matrix in place: after the call, bit `j` of
 /// `a[i]` is the old bit `i` of `a[j]` (LSB-first, matching
 /// [`NodeSet::as_words`]).

@@ -185,21 +185,6 @@ impl CsrGraph {
     }
 }
 
-// JSON form delegates to the portable edge list
-// ([`GraphData`](crate::io::GraphData)): `{"n": …, "edges": [[u,v]…]}`.
-impl fx_json::ToJson for CsrGraph {
-    fn to_json(&self) -> fx_json::Json {
-        fx_json::ToJson::to_json(&crate::io::GraphData::from(self))
-    }
-}
-
-impl fx_json::FromJson for CsrGraph {
-    fn from_json(v: &fx_json::Json) -> Result<Self, String> {
-        let data = <crate::io::GraphData as fx_json::FromJson>::from_json(v)?;
-        Ok(CsrGraph::from(&data))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,7 +44,6 @@ pub mod csr;
 pub mod distance;
 pub mod dyncon;
 pub mod generators;
-pub mod io;
 pub mod node;
 pub mod par;
 pub mod routing;

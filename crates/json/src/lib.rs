@@ -3,14 +3,14 @@
 //! The workspace builds offline, so instead of `serde`/`serde_json` it
 //! carries this small crate: a JSON value model ([`Json`]), a strict
 //! recursive-descent parser ([`Json::parse`]), compact and pretty
-//! printers, and [`ToJson`]/[`FromJson`] traits with macro helpers
-//! ([`impl_json_object!`], [`impl_json_enum!`]) that generate impls
-//! for plain structs and enums-with-struct-variants in the same
-//! externally-tagged shape serde would produce.
+//! printers, and [`ToJson`]/[`FromJson`] traits with a macro helper
+//! ([`impl_json_object!`]) that generates impls for plain structs in
+//! the shape serde would produce.
 //!
-//! The campaign engine's JSONL journal and `aggregates.json`, the
-//! bench ledger, and the report types in `fx-core` all serialize
-//! through this crate.
+//! The campaign journal, the cell store, `aggregates.json`, the
+//! `fxnet serve` bodies, the trace sinks and the bench ledger all
+//! serialize through this crate; the journaled `CellResult` is the
+//! one struct encoded through [`impl_json_object!`].
 //!
 //! ```ignore
 //! use fx_json::{FromJson, Json, ToJson};
@@ -749,109 +749,6 @@ macro_rules! impl_json_object {
     };
 }
 
-/// Implements [`ToJson`]/[`FromJson`] for an enum whose variants have
-/// named fields (or none), in serde's externally-tagged shape:
-/// `{"Variant": {"field": value, ...}}` (unit variants as
-/// `"Variant"`).
-///
-/// ```ignore
-/// fx_json::impl_json_enum!(Shape {
-///     Circle { radius },
-///     Square { side },
-///     Point {},
-/// });
-/// ```
-#[macro_export]
-macro_rules! impl_json_enum {
-    ($ty:ident { $($variant:ident { $($field:ident),* $(,)? }),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Json {
-                match self {
-                    $(
-                        #[allow(unused_variables)]
-                        $ty::$variant { $($field),* } => {
-                            let fields: Vec<(String, $crate::Json)> = vec![
-                                $((stringify!($field).to_string(), $crate::ToJson::to_json($field)),)*
-                            ];
-                            if fields.is_empty() {
-                                $crate::Json::Str(stringify!($variant).to_string())
-                            } else {
-                                $crate::Json::Obj(vec![(
-                                    stringify!($variant).to_string(),
-                                    $crate::Json::Obj(fields),
-                                )])
-                            }
-                        }
-                    )+
-                }
-            }
-        }
-        impl $crate::FromJson for $ty {
-            fn from_json(v: &$crate::Json) -> Result<Self, String> {
-                match v {
-                    $crate::Json::Str(tag) => match tag.as_str() {
-                        $(
-                            stringify!($variant) => {
-                                let required: &[&str] = &[$(stringify!($field)),*];
-                                if !required.is_empty() {
-                                    return Err(format!(
-                                        "variant {} requires an object body",
-                                        stringify!($variant)
-                                    ));
-                                }
-                                // only reachable for field-less variants,
-                                // where the unreachable!() list is empty
-                                #[allow(
-                                    unreachable_code,
-                                    unused_variables,
-                                    clippy::diverging_sub_expression
-                                )]
-                                let value = Ok($ty::$variant {
-                                    $($field: unreachable!(),)*
-                                });
-                                value
-                            }
-                        )+
-                        other => Err(format!(
-                            "unknown {} variant {other:?}", stringify!($ty)
-                        )),
-                    },
-                    $crate::Json::Obj(fields) if fields.len() == 1 => {
-                        let (tag, body) = &fields[0];
-                        match tag.as_str() {
-                            $(
-                                stringify!($variant) => Ok($ty::$variant {
-                                    $($field: {
-                                        match body.get(stringify!($field)) {
-                                            Some(f) => $crate::FromJson::from_json(f),
-                                            None => $crate::FromJson::from_json(&$crate::Json::Null),
-                                        }
-                                        .map_err(|e| {
-                                            format!(
-                                                "{}::{}.{}: {}",
-                                                stringify!($ty),
-                                                stringify!($variant),
-                                                stringify!($field),
-                                                e
-                                            )
-                                        })?
-                                    },)*
-                                }),
-                            )+
-                            other => Err(format!(
-                                "unknown {} variant {other:?}", stringify!($ty)
-                            )),
-                        }
-                    }
-                    _ => Err(format!(
-                        "expected externally-tagged {} value, got {v:?}", stringify!($ty)
-                    )),
-                }
-            }
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -872,18 +769,6 @@ mod tests {
         upper,
         ok,
         pairs
-    });
-
-    #[derive(Debug, PartialEq)]
-    enum Shape {
-        Circle { radius: f64 },
-        Grid { dims: Vec<usize> },
-        Dot {},
-    }
-    impl_json_enum!(Shape {
-        Circle { radius },
-        Grid { dims },
-        Dot {},
     });
 
     fn demo() -> Demo {
@@ -931,19 +816,6 @@ mod tests {
         // present-but-wrong-type is still a loud error
         let err = from_str::<Versioned>(r#"{"key":"c","notes":7}"#).unwrap_err();
         assert!(err.contains("Versioned.notes"), "{err}");
-    }
-
-    #[test]
-    fn enum_roundtrip_externally_tagged() {
-        let s = Shape::Grid { dims: vec![8, 8] };
-        let text = to_string(&s);
-        assert_eq!(text, "{\"Grid\":{\"dims\":[8,8]}}");
-        let back: Shape = from_str(&text).unwrap();
-        assert_eq!(back, s);
-        let dot = Shape::Dot {};
-        let back: Shape = from_str(&to_string(&dot)).unwrap();
-        assert_eq!(back, dot);
-        assert!(from_str::<Shape>("{\"Nope\":{}}").is_err());
     }
 
     #[test]

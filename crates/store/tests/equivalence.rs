@@ -9,7 +9,9 @@
 //! whatever the damage model does to the shard files, the worst case
 //! is losing cache hits, never serving a wrong (or torn) result.
 
-use fx_campaign::{expand, run, CampaignSpec, RunOptions};
+use fx_campaign::{
+    expand, run, run_cell, store_identity, CampaignSpec, Journal, RunOptions, RESULTS_EPOCH,
+};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -90,6 +92,44 @@ fn poison_store(dir: &Path, which: usize, offset_frac: f64) {
         }
     }
     std::fs::write(victim, bytes).unwrap();
+}
+
+/// Results made under an earlier [`RESULTS_EPOCH`] never stand in for
+/// current ones: with every cell's journal record and store entry
+/// keyed under `fx-store/<epoch − 1>|…`, a run into the same `--out`
+/// and store re-executes every cell and serves none from the store.
+#[test]
+fn records_of_an_earlier_results_epoch_are_never_reused() {
+    let store = temp_dir("epoch-store");
+    let out = temp_dir("epoch-out");
+    let spec = CampaignSpec::parse(&mini_spec_text(
+        &["cycle:16", "torus:5,5"],
+        &["none", "random-exact:3"],
+        "expansion-cert",
+        2,
+        7,
+        &store,
+    ))
+    .unwrap();
+    let current = format!("fx-store/{RESULTS_EPOCH}|");
+    let earlier = format!("fx-store/{}|", RESULTS_EPOCH - 1);
+    let journal = Journal::new(out.join("journal.jsonl"));
+    let cache = fx_store::Store::open(&store).unwrap();
+    let cells = expand(&spec).unwrap();
+    for cell in &cells {
+        let identity = store_identity(&spec, cell);
+        assert!(identity.starts_with(&current), "{identity}");
+        let stale = fx_store::fnv1a(identity.replacen(&current, &earlier, 1).as_bytes());
+        let result = run_cell(&spec, cell);
+        journal.append(stale, &result).unwrap();
+        cache.put(stale, &fx_json::to_string(&result)).unwrap();
+    }
+    drop((journal, cache));
+
+    let summary = run_campaign(&spec, out, 2);
+    assert_eq!((summary.skipped, summary.executed), (0, cells.len()));
+    assert_eq!(summary.cache_hits, 0);
+    assert!(summary.complete);
 }
 
 proptest! {

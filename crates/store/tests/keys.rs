@@ -17,7 +17,7 @@
 //! exhaustively over every algorithm × a representative compatible
 //! fault for each row of `Algo::accepts`.
 
-use fx_campaign::{expand, store_identity, store_key, CampaignSpec, Cell};
+use fx_campaign::{expand, store_identity, store_key, CampaignSpec, Cell, RESULTS_EPOCH};
 use std::collections::HashMap;
 
 fn spec(text: &str) -> CampaignSpec {
@@ -243,12 +243,28 @@ fn distinct_matrix_rows_never_collide_with_each_other() {
     }
 }
 
+/// A declared re-baseline moves a line of `specs/golden.sha256` and
+/// must bump [`RESULTS_EPOCH`] with it, so journals and stores made by
+/// the older code stop matching. This pins the pair: when it fails,
+/// bump the epoch and re-pin both values.
+#[test]
+fn results_epoch_is_pinned_to_the_golden_digests() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/golden.sha256");
+    let digests = std::fs::read(&golden).unwrap();
+    assert_eq!(
+        (RESULTS_EPOCH, fx_store::fnv1a(&digests)),
+        (1, 0xd25e_aa8b_0dfe_0c91),
+        "specs/golden.sha256 changed: a re-baseline bumps fx_campaign::RESULTS_EPOCH; \
+         bump it and re-pin this pair"
+    );
+}
+
 #[test]
 fn identity_is_versioned_and_readable() {
     let (s, cell) = single("torus:5,5", "none", "expansion-cert", "");
     let identity = store_identity(&s, &cell);
     assert!(
-        identity.starts_with("fx-store/1|"),
+        identity.starts_with(&format!("fx-store/{RESULTS_EPOCH}|")),
         "keying scheme must be versioned: {identity}"
     );
     for field in ["|seed=", "|k=", "|eps=", "|trials=", "|mode=", "|curves="] {

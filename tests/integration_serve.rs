@@ -14,15 +14,17 @@
 //! produce correct status codes on *this* connection and leave the
 //! worker pool serving the next one. Identical concurrent misses
 //! coalesce into one computation (single-flight), asserted through
-//! both `/v1/stats` and the `serve`-target fx-trace counters; a full
-//! compute queue answers `429` + `Retry-After` without dropping any
-//! request it already accepted.
+//! both `/v1/stats` and the `serve`-target fx-trace counters; waiting
+//! cells compute in arrival order, however many requests wait on each;
+//! a full compute queue answers `429` + `Retry-After` without dropping
+//! any request it already accepted; a cell slower than the request
+//! timeout answers `504` and is still published, so a retry hits.
 
 use fx_campaign::{expand, run, run_cell, serve, CampaignSpec, RunOptions, ServeOptions};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Serve tests share the process-global fx-trace counter state, so
@@ -475,8 +477,14 @@ fn early_client_disconnects_leave_the_pool_serving() {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling: single-flight coalescing and bounded-queue backpressure
+// Scheduling: single-flight coalescing, FIFO order, bounded-queue
+// backpressure and the request timeout
 // ---------------------------------------------------------------------------
+
+/// An exact-span cell that takes ~0.3 s in release: slow enough to
+/// outlast a short request timeout or to trail a fast cell by a wide
+/// margin, quick enough to finish well inside the polling deadlines.
+const SPAN_CELL: &str = "/v1/cell?scenario=torus:3,6&fault=none&algo=span";
 
 #[test]
 fn concurrent_identical_misses_coalesce_into_one_computation() {
@@ -606,5 +614,95 @@ fn full_queue_answers_429_without_dropping_accepted_requests() {
     assert_eq!(coalesced_reply.status, 200);
     assert_eq!(coalesced_reply.body, accepted_reply.body);
     assert_eq!(slow.join().unwrap().status, 500);
+    server.shutdown();
+}
+
+#[test]
+fn queued_cells_compute_in_arrival_order_whatever_their_waiter_counts() {
+    let _guard = serial();
+    let spec = slow_spec();
+    let server = serve(
+        &spec,
+        &ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            http_threads: 8,
+            compute_threads: 1,
+            queue_cap: 16,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    // Occupy the single compute worker so both jobs below queue up.
+    let slow = std::thread::spawn(move || {
+        get(
+            addr,
+            "/v1/cell?scenario=torus:64,64&fault=none&algo=percolation",
+        )
+    });
+    wait_for_stat(addr, "inflight", 1);
+
+    // Job A (a fast cell) is requested once, then job B (the ~0.3 s
+    // span cell) three times. Each client notes when its answer
+    // arrives.
+    let finished = Arc::new(Mutex::new(Vec::new()));
+    let request = |name: &'static str, path: &'static str| {
+        let finished = finished.clone();
+        std::thread::spawn(move || {
+            let reply = get(addr, path);
+            finished.lock().unwrap().push(name);
+            reply
+        })
+    };
+    let a = request(
+        "A",
+        "/v1/cell?scenario=cycle:16&fault=none&algo=expansion-cert",
+    );
+    wait_for_stat(addr, "queue_depth", 1);
+    let b: Vec<_> = (0..3).map(|_| request("B", SPAN_CELL)).collect();
+    wait_for_stat(addr, "coalesced", 2);
+    assert_eq!(stat(addr, "queue_depth"), 2);
+
+    // Once the worker frees up, A (queued first) computes before B,
+    // although three requests wait on B and one on A.
+    assert_eq!(a.join().unwrap().status, 200);
+    for reply in b {
+        assert_eq!(reply.join().unwrap().status, 200);
+    }
+    assert_eq!(*finished.lock().unwrap(), ["A", "B", "B", "B"]);
+    assert_eq!(slow.join().unwrap().status, 500);
+    assert_eq!(stat(addr, "computed"), 3);
+    server.shutdown();
+}
+
+#[test]
+fn a_cell_slower_than_the_request_timeout_answers_504_and_a_retry_hits() {
+    let _guard = serial();
+    let store_dir = temp_dir("timeout-store");
+    let spec = mini_spec(Some(&store_dir));
+    let server = serve(
+        &spec,
+        &ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            request_timeout_ms: 30,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    let first = get(addr, SPAN_CELL);
+    assert_eq!(first.status, 504, "{}", first.body);
+    assert_eq!(first.header("X-Cache"), None);
+
+    // The cell keeps computing after the 504 and is published, so a
+    // retry once it has finished answers from the store.
+    wait_for_stat(addr, "store_entries", 1);
+    let retry = get(addr, SPAN_CELL);
+    assert_eq!(retry.status, 200, "{}", retry.body);
+    assert_eq!(retry.header("X-Cache"), Some("hit"));
+    assert_eq!(stat(addr, "computed"), 1);
+    assert_eq!(stat(addr, "misses"), 1);
     server.shutdown();
 }
