@@ -58,6 +58,7 @@ fn bench_store_hit(c: &mut Criterion) {
         b.iter(|| run_cell(&spec, cell).metrics.len())
     });
     group.finish();
+    let _ = std::fs::remove_dir_all(store.dir());
 }
 
 criterion_group!(benches, bench_store_hit);

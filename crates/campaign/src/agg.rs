@@ -86,11 +86,8 @@ mod tests {
             seed: 0,
             metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             wall_ms: 1.0,
-            phase_ms: Vec::new(),
-            failed: 0,
-            error: String::new(),
             attempts: 1,
-            cache_hit: 0,
+            ..CellResult::default()
         }
     }
 

@@ -21,6 +21,7 @@ use fx_trace::{Span, Target};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Execution options for one `run`/`resume` invocation.
@@ -286,18 +287,17 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
 /// served.
 pub(crate) fn store_lookup(store: &fx_store::Store, cell: &Cell, key: u64) -> Option<CellResult> {
     let payload = store.get(key)?;
-    let mut result: CellResult = fx_json::from_str(&payload).ok()?;
-    if !result.publishable() {
+    let stored: CellResult = fx_json::from_str(&payload).ok()?;
+    if !stored.publishable() {
         return None;
     }
-    result.key = cell.key();
-    result.graph = cell.graph.clone();
-    result.fault = cell.fault.to_string();
-    result.algo = cell.algo.to_string();
-    result.replicate = cell.replicate;
-    result.seed = cell.seed;
-    result.cache_hit = 1;
-    Some(result)
+    Some(CellResult::for_cell(
+        cell,
+        CellResult {
+            cache_hit: 1,
+            ..stored
+        },
+    ))
 }
 
 /// Live stderr progress: a rate/ETA/timeout line every ~2 s while
@@ -308,7 +308,7 @@ struct Heartbeat {
     timeouts: AtomicUsize,
     failures: AtomicUsize,
     started: Instant,
-    last_print: parking_lot::Mutex<Instant>,
+    last_print: Mutex<Instant>,
 }
 
 impl Heartbeat {
@@ -319,7 +319,7 @@ impl Heartbeat {
             timeouts: AtomicUsize::new(0),
             failures: AtomicUsize::new(0),
             started: Instant::now(),
-            last_print: parking_lot::Mutex::new(Instant::now()),
+            last_print: Mutex::new(Instant::now()),
         }
     }
 
@@ -334,7 +334,12 @@ impl Heartbeat {
         if quiet || done == self.total {
             return; // the final state is reported by the summary table
         }
-        let mut last = self.last_print.lock();
+        // an `Instant` is whole after any panic, so a poisoned lock is
+        // used as is
+        let mut last = self
+            .last_print
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if last.elapsed().as_secs_f64() < 2.0 {
             return;
         }
@@ -668,6 +673,7 @@ algorithms = ["expansion-cert"]
         assert_eq!(again.executed, 0);
         assert_eq!(again.skipped, 8);
         assert_eq!(again.aggregates, summary.aggregates);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Churn-trace recording and the offline curve solve are part of
@@ -976,5 +982,50 @@ timeout_ms = 50
         assert_eq!(reported.executed, 0);
         assert_eq!(reported.skipped, 3);
         assert!(!reported.complete);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store hit is journaled under this campaign's identity for the
+    /// cell, whatever spelling the storing campaign used, and keeps the
+    /// stored outcome; a record that should never have been published
+    /// is a miss.
+    #[test]
+    fn store_hits_take_the_cells_identity_and_keep_the_stored_outcome() {
+        let dir = temp_dir("store-lookup");
+        let store = fx_store::Store::open(&dir).unwrap();
+        let cell = &expand(&spec_in(&dir)).unwrap()[3];
+        let stored = CellResult {
+            key: "elsewhere|none|expansion-cert|r9".into(),
+            graph: "elsewhere".into(),
+            metrics: vec![("x".into(), 1.5)],
+            wall_ms: 4.0,
+            phase_ms: vec![("algo".into(), 3.5)],
+            attempts: 3,
+            ..CellResult::default()
+        };
+        store.put(1, &fx_json::to_string(&stored)).unwrap();
+        let quarantined = CellResult {
+            failed: 1,
+            ..stored.clone()
+        };
+        store.put(2, &fx_json::to_string(&quarantined)).unwrap();
+        store.put(3, "not a record").unwrap();
+
+        let hit = store_lookup(&store, cell, 1).unwrap();
+        let want = CellResult {
+            key: cell.key(),
+            graph: cell.graph.clone(),
+            fault: cell.fault.to_string(),
+            algo: cell.algo.to_string(),
+            replicate: cell.replicate,
+            seed: cell.seed,
+            cache_hit: 1,
+            ..stored
+        };
+        assert_eq!(hit, want);
+        for miss in [2, 3, 4] {
+            assert_eq!(store_lookup(&store, cell, miss), None, "key {miss}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -29,6 +29,7 @@ use fx_graph::par::CancelToken;
 use fx_graph::routing::{permutation_demands, route_demands};
 use fx_graph::traversal::bfs_ball;
 use fx_graph::{NodeSet, Scratch};
+use fx_json::{FromJson, Json, ToJson};
 use fx_percolation::{
     crossing_fraction, estimate_critical_cancelable, gamma_removal_curve, gamma_trials_with,
     trial_seed, LaneScratch, Mode, MonteCarlo, SweepScratch, MAX_LANES,
@@ -45,7 +46,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use std::time::{Duration, Instant};
 
 /// The journaled outcome of one executed cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellResult {
     /// Cell key (`graph|fault|algo|rN`).
     pub key: String,
@@ -92,29 +93,123 @@ pub struct CellResult {
     pub cache_hit: u64,
 }
 
-// `phase_ms` and the quarantine fields are in the `default` block so
-// records written before them existed still decode: a keyless journal
-// line of any age reads as a record to skip, not as corruption.
-// Absent quarantine fields decode as a clean first-try success
-// (`failed = 0`, `attempts = 0`).
-fx_json::impl_json_object!(CellResult {
-    key,
-    graph,
-    fault,
-    algo,
-    replicate,
-    seed,
-    metrics,
-    wall_ms
-} default {
-    phase_ms,
-    failed,
-    error,
-    attempts,
-    cache_hit
-});
+// The record's line in the journal and the store. Fields are written
+// in declaration order, integers as exact `UInt`s and floats as `Num`s,
+// so a non-finite float is written as `null` and reads back as NaN.
+// Two kinds of field may be absent, because records without them are
+// already on disk and a keyless journal line of any age must read as
+// a record to skip, not as corruption: `wall_ms` reads as NaN, like
+// its `null`, and `phase_ms`, `failed`, `error`, `attempts` and
+// `cache_hit`, added later, read as their defaults (a clean record
+// with `attempts = 0`). Every other field is required, and every
+// decoding error names its field (`CellResult.<field>: …`).
+impl ToJson for CellResult {
+    fn to_json(&self) -> Json {
+        let text = |s: &str| Json::Str(s.to_string());
+        let pairs = |v: &[(String, f64)]| {
+            let pair = |(k, x): &(String, f64)| Json::Arr(vec![text(k), Json::Num(*x)]);
+            Json::Arr(v.iter().map(pair).collect())
+        };
+        Json::Obj(vec![
+            ("key".into(), text(&self.key)),
+            ("graph".into(), text(&self.graph)),
+            ("fault".into(), text(&self.fault)),
+            ("algo".into(), text(&self.algo)),
+            ("replicate".into(), Json::UInt(self.replicate as u64)),
+            ("seed".into(), Json::UInt(self.seed)),
+            ("metrics".into(), pairs(&self.metrics)),
+            ("wall_ms".into(), Json::Num(self.wall_ms)),
+            ("phase_ms".into(), pairs(&self.phase_ms)),
+            ("failed".into(), Json::UInt(self.failed)),
+            ("error".into(), text(&self.error)),
+            ("attempts".into(), Json::UInt(self.attempts)),
+            ("cache_hit".into(), Json::UInt(self.cache_hit)),
+        ])
+    }
+}
+
+impl FromJson for CellResult {
+    fn from_json(doc: &Json) -> Result<Self, String> {
+        /// Decodes field `name` of `doc`. An absent field reads as
+        /// `absent`, or, when that is `None`, is decoded from `null`.
+        fn field<T>(
+            doc: &Json,
+            name: &str,
+            absent: Option<T>,
+            decode: fn(&Json) -> Result<T, String>,
+        ) -> Result<T, String> {
+            match (doc.get(name), absent) {
+                (Some(v), _) => decode(v),
+                (None, Some(value)) => Ok(value),
+                (None, None) => decode(&Json::Null),
+            }
+            .map_err(|e| format!("CellResult.{name}: {e}"))
+        }
+        fn text(v: &Json) -> Result<String, String> {
+            v.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("expected string, got {v:?}"))
+        }
+        fn uint(v: &Json) -> Result<u64, String> {
+            v.as_u64()
+                .ok_or_else(|| format!("expected unsigned integer, got {v:?}"))
+        }
+        fn index(v: &Json) -> Result<usize, String> {
+            let u = uint(v)?;
+            usize::try_from(u).map_err(|_| format!("integer {u} out of range for usize"))
+        }
+        fn num(v: &Json) -> Result<f64, String> {
+            match v {
+                Json::Null => Ok(f64::NAN),
+                _ => v
+                    .as_f64()
+                    .ok_or_else(|| format!("expected number, got {v:?}")),
+            }
+        }
+        fn pairs(v: &Json) -> Result<Vec<(String, f64)>, String> {
+            let items = v
+                .as_array()
+                .ok_or_else(|| format!("expected array, got {v:?}"))?;
+            let pair = |p: &Json| match p.as_array() {
+                Some([k, x]) => Ok((text(k)?, num(x)?)),
+                _ => Err(format!("expected 2-element array, got {p:?}")),
+            };
+            items.iter().map(pair).collect()
+        }
+        Ok(CellResult {
+            key: field(doc, "key", None, text)?,
+            graph: field(doc, "graph", None, text)?,
+            fault: field(doc, "fault", None, text)?,
+            algo: field(doc, "algo", None, text)?,
+            replicate: field(doc, "replicate", None, index)?,
+            seed: field(doc, "seed", None, uint)?,
+            metrics: field(doc, "metrics", None, pairs)?,
+            wall_ms: field(doc, "wall_ms", None, num)?,
+            phase_ms: field(doc, "phase_ms", Some(Vec::new()), pairs)?,
+            failed: field(doc, "failed", Some(0), uint)?,
+            error: field(doc, "error", Some(String::new()), text)?,
+            attempts: field(doc, "attempts", Some(0), uint)?,
+            cache_hit: field(doc, "cache_hit", Some(0), uint)?,
+        })
+    }
+}
 
 impl CellResult {
+    /// The record `outcome` under `cell`'s identity: `key`, `graph`,
+    /// `fault`, `algo`, `replicate` and `seed` come from the cell, every
+    /// other field from `outcome`.
+    pub(crate) fn for_cell(cell: &Cell, outcome: CellResult) -> CellResult {
+        CellResult {
+            key: cell.key(),
+            graph: cell.graph.clone(),
+            fault: cell.fault.to_string(),
+            algo: cell.algo.to_string(),
+            replicate: cell.replicate,
+            seed: cell.seed,
+            ..outcome
+        }
+    }
+
     /// Aggregation group (cell key minus the replicate axis).
     pub fn group(&self) -> String {
         format!("{}|{}|{}", self.graph, self.fault, self.algo)
@@ -483,13 +578,7 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
     }
     drop(cell_span);
 
-    CellResult {
-        key: cell.key(),
-        graph: cell.graph.clone(),
-        fault: cell.fault.to_string(),
-        algo: cell.algo.to_string(),
-        replicate: cell.replicate,
-        seed: cell.seed,
+    let outcome = CellResult {
         metrics,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
         phase_ms: vec![
@@ -497,11 +586,10 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
             ("fault".to_string(), fault_ms),
             ("algo".to_string(), algo_ms.max(0.0)),
         ],
-        failed: 0,
-        error: String::new(),
         attempts: 1,
-        cache_hit: 0,
-    }
+        ..CellResult::default()
+    };
+    CellResult::for_cell(cell, outcome)
 }
 
 std::thread_local! {
@@ -603,21 +691,14 @@ pub fn run_cell_resilient(spec: &CampaignSpec, cell: &Cell, base_attempt: u64) -
             }
         }
     }
-    CellResult {
-        key: cell.key(),
-        graph: cell.graph.clone(),
-        fault: cell.fault.to_string(),
-        algo: cell.algo.to_string(),
-        replicate: cell.replicate,
-        seed: cell.seed,
-        metrics: Vec::new(),
+    let quarantined = CellResult {
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        phase_ms: Vec::new(),
         failed: 1,
         error: last_error,
         attempts: base_attempt + retries as u64 + 1,
-        cache_hit: 0,
-    }
+        ..CellResult::default()
+    };
+    CellResult::for_cell(cell, quarantined)
 }
 
 /// Construction-level metrics every cell of a derived scenario
@@ -1585,5 +1666,185 @@ algorithms = ["expansion-cert"]
         let text = fx_json::to_string(&r);
         let back: CellResult = fx_json::from_str(&text).unwrap();
         assert_eq!(back, r);
+    }
+
+    /// A record line as the journal and the store have always written
+    /// it (the payload `fx_store::log`'s format test pins).
+    const LINE: &str = r#"{"key":"torus:4,4|none|expansion-cert|r0","graph":"torus:4,4","fault":"none","algo":"expansion-cert","replicate":0,"seed":4564166207218524731,"metrics":[["n",16],["faults",0],["gamma",1],["alpha_lower",0.75],["alpha_upper",0.75],["alpha_e_lower",1],["alpha_e_upper",1]],"wall_ms":1.262465,"phase_ms":[["build",0.013989],["fault",0.002771],["algo",1.24358]],"failed":0,"error":"","attempts":1,"cache_hit":0}"#;
+    const PHASES: &str = r#"[["build",0.013989],["fault",0.002771],["algo",1.24358]]"#;
+
+    /// `LINE` with each `(from, to)` edit applied once.
+    fn edited(edits: &[(&str, &str)]) -> String {
+        edits.iter().fold(LINE.to_string(), |doc, (from, to)| {
+            assert!(doc.contains(from), "{from}");
+            doc.replacen(from, to, 1)
+        })
+    }
+
+    fn decode(doc: &str) -> Result<CellResult, String> {
+        fx_json::from_str(doc)
+    }
+
+    #[test]
+    fn record_line_reencodes_the_pinned_payload_byte_for_byte() {
+        let r = decode(LINE).unwrap();
+        assert_eq!(r.key, "torus:4,4|none|expansion-cert|r0");
+        assert_eq!(r.seed, 4564166207218524731);
+        assert_eq!(r.phase_ms[2], ("algo".to_string(), 1.24358));
+        assert_eq!((r.failed, r.attempts, r.cache_hit), (0, 1, 0));
+        assert_eq!(fx_json::to_string(&r), LINE);
+    }
+
+    /// The documents the decoder has always accepted, each with the
+    /// line its record re-encodes to.
+    #[test]
+    fn record_decoder_accepts_legacy_null_and_integral_float_fields() {
+        let legacy_tail =
+            format!(r#","phase_ms":{PHASES},"failed":0,"error":"","attempts":1,"cache_hit":0"#);
+        let null_wall = (r#""wall_ms":1.262465"#, r#""wall_ms":null"#);
+        let null_gamma = (r#"["gamma",1]"#, r#"["gamma",null]"#);
+        let absent_wall = edited(&[(r#","wall_ms":1.262465"#, "")]);
+        let cases = [
+            // written before `phase_ms` and the quarantine fields
+            (
+                edited(&[(&legacy_tail, "")]),
+                edited(&[(PHASES, "[]"), (r#""attempts":1"#, r#""attempts":0"#)]),
+            ),
+            // non-finite floats are written as null
+            (
+                edited(&[null_wall, null_gamma]),
+                edited(&[null_wall, null_gamma]),
+            ),
+            (absent_wall.clone(), edited(&[null_wall])),
+            (
+                edited(&[
+                    (r#""replicate":0"#, r#""replicate":2.0"#),
+                    (r#""seed":4564166207218524731"#, r#""seed":1e3"#),
+                    (r#""attempts":1"#, r#""attempts":3.0"#),
+                ]),
+                edited(&[
+                    (r#""replicate":0"#, r#""replicate":2"#),
+                    (r#""seed":4564166207218524731"#, r#""seed":1000"#),
+                    (r#""attempts":1"#, r#""attempts":3"#),
+                ]),
+            ),
+            // unknown keys are ignored and the first of a repeated key wins
+            (
+                edited(&[(
+                    r#""cache_hit":0"#,
+                    r#""cache_hit":0,"extra":{"x":1},"key":"second""#,
+                )]),
+                LINE.to_string(),
+            ),
+        ];
+        for (doc, line) in &cases {
+            assert_eq!(fx_json::to_string(&decode(doc).unwrap()), *line);
+        }
+        let nulls = decode(&cases[1].0).unwrap();
+        assert!(nulls.wall_ms.is_nan() && nulls.metric("gamma").unwrap().is_nan());
+        assert!(decode(&absent_wall).unwrap().wall_ms.is_nan());
+    }
+
+    /// The documents the decoder has always rejected, each with its
+    /// error, word for word.
+    #[test]
+    fn record_decoder_rejects_bad_fields_naming_the_field() {
+        let metrics = r#""metrics":[["n",16],["faults",0],["gamma",1],["alpha_lower",0.75],["alpha_upper",0.75],["alpha_e_lower",1],["alpha_e_upper",1]],"#;
+        let phases = format!(r#""phase_ms":{PHASES}"#);
+        let cases = [
+            (
+                edited(&[(metrics, "")]),
+                "CellResult.metrics: expected array, got Null",
+            ),
+            (
+                edited(&[(metrics, r#""metrics":{},"#)]),
+                "CellResult.metrics: expected array, got Obj([])",
+            ),
+            (
+                edited(&[(r#""key":"torus:4,4|none|expansion-cert|r0","#, "")]),
+                "CellResult.key: expected string, got Null",
+            ),
+            (
+                edited(&[(r#""failed":0"#, r#""failed":"0""#)]),
+                r#"CellResult.failed: expected unsigned integer, got Str("0")"#,
+            ),
+            (
+                edited(&[(&phases, r#""phase_ms":null"#)]),
+                "CellResult.phase_ms: expected array, got Null",
+            ),
+            (
+                edited(&[(r#""error":"""#, r#""error":null"#)]),
+                "CellResult.error: expected string, got Null",
+            ),
+            (
+                edited(&[(r#""attempts":1"#, r#""attempts":null"#)]),
+                "CellResult.attempts: expected unsigned integer, got Null",
+            ),
+            (
+                edited(&[(r#""cache_hit":0"#, r#""cache_hit":true"#)]),
+                "CellResult.cache_hit: expected unsigned integer, got Bool(true)",
+            ),
+            (
+                edited(&[(r#""replicate":0"#, r#""replicate":-1"#)]),
+                "CellResult.replicate: expected unsigned integer, got Int(-1)",
+            ),
+            (
+                edited(&[(r#""replicate":0"#, r#""replicate":1e20"#)]),
+                "CellResult.replicate: expected unsigned integer, got Num(1e20)",
+            ),
+            (
+                edited(&[(r#""seed":4564166207218524731"#, r#""seed":1.5"#)]),
+                "CellResult.seed: expected unsigned integer, got Num(1.5)",
+            ),
+            (
+                edited(&[(r#"["n",16]"#, r#"["n",16,1]"#)]),
+                r#"CellResult.metrics: expected 2-element array, got Arr([Str("n"), UInt(16), UInt(1)])"#,
+            ),
+            (
+                edited(&[(r#"["n",16]"#, r#"["n","16"]"#)]),
+                r#"CellResult.metrics: expected number, got Str("16")"#,
+            ),
+            (
+                "[1,2]".to_string(),
+                "CellResult.key: expected string, got Null",
+            ),
+            (
+                "{}".to_string(),
+                "CellResult.key: expected string, got Null",
+            ),
+            (LINE[..40].to_string(), "unterminated string"),
+        ];
+        for (doc, error) in cases {
+            assert_eq!(decode(&doc).unwrap_err(), error, "{doc}");
+        }
+    }
+
+    #[test]
+    fn record_encoder_writes_quarantined_records_byte_for_byte() {
+        let quarantined = CellResult {
+            key: "mesh:3,4|random:0.1|prune|r3".into(),
+            graph: "mesh:3,4".into(),
+            fault: "random:0.1".into(),
+            algo: "prune".into(),
+            replicate: 3,
+            seed: u64::MAX,
+            metrics: vec![
+                ("inf".into(), f64::INFINITY),
+                ("nan".into(), f64::NAN),
+                ("neg".into(), -0.5),
+                ("big".into(), 1e20),
+                ("tiny".into(), 1e-7),
+            ],
+            wall_ms: f64::NEG_INFINITY,
+            phase_ms: vec![("build".into(), 0.25)],
+            failed: 1,
+            error: "chaos: \"boom\" at \\x\n\ttab\u{1}é".into(),
+            attempts: 7,
+            cache_hit: 0,
+        };
+        assert_eq!(
+            fx_json::to_string(&quarantined),
+            r#"{"key":"mesh:3,4|random:0.1|prune|r3","graph":"mesh:3,4","fault":"random:0.1","algo":"prune","replicate":3,"seed":18446744073709551615,"metrics":[["inf",null],["nan",null],["neg",-0.5],["big",100000000000000000000],["tiny",0.0000001]],"wall_ms":null,"phase_ms":[["build",0.25]],"failed":1,"error":"chaos: \"boom\" at \\x\n\ttab\u0001é","attempts":7,"cache_hit":0}"#
+        );
     }
 }

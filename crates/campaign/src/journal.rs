@@ -263,10 +263,8 @@ mod tests {
             metrics: vec![("x".into(), x)],
             wall_ms: 0.5,
             phase_ms: vec![("build".into(), 0.1), ("algo".into(), 0.4)],
-            failed: 0,
-            error: String::new(),
             attempts: 1,
-            cache_hit: 0,
+            ..CellResult::default()
         }
     }
 
@@ -299,6 +297,13 @@ mod tests {
         Journal::new(dir.join("journal.jsonl"))
     }
 
+    /// Removes the directories of `journals`, once a test has passed.
+    fn remove(journals: &[&Journal]) {
+        for j in journals {
+            let _ = std::fs::remove_dir_all(j.path().parent().unwrap());
+        }
+    }
+
     /// The loaded keys of `j` and its corrupt-line count.
     fn keys(j: &Journal) -> (Vec<String>, usize) {
         let report = j.load_report().unwrap();
@@ -317,6 +322,7 @@ mod tests {
         assert_eq!(loaded[0].key, "a");
         assert_eq!(loaded[0].metric("x"), Some(1.0));
         assert_eq!(loaded[1].key, "b");
+        remove(&[&j]);
     }
 
     #[test]
@@ -343,6 +349,7 @@ mod tests {
         assert_eq!(by_key("b").failed, 1);
         assert_eq!(by_key("b").attempts, 6);
         assert_eq!(by_key("c").failed, 0);
+        remove(&[&j]);
     }
 
     #[test]
@@ -359,6 +366,7 @@ mod tests {
         assert!(std::fs::read(j.path()).unwrap().ends_with(b"\n"));
         append(&w, &result("c", 3.0));
         assert_eq!(keys(&j), (vec!["a".into(), "c".into()], 0));
+        remove(&[&j]);
     }
 
     #[test]
@@ -382,6 +390,7 @@ mod tests {
             let expect = [kept, vec!["c".into()]].concat();
             assert_eq!(keys(&j), (expect, 0), "cut={cut}");
         }
+        remove(&[&j]);
     }
 
     #[test]
@@ -426,6 +435,7 @@ mod tests {
         .unwrap();
         assert_eq!(summary.unique, 3);
         assert_eq!(out.load().unwrap().len(), 3);
+        remove(&[&a, &b, &out]);
     }
 
     #[test]
@@ -447,6 +457,7 @@ mod tests {
 
         let err = merge_journals_checked(&inputs, out.path(), true).unwrap_err();
         assert!(err.contains("missing shard journal"), "{err}");
+        remove(&[&a, &out]);
     }
 
     /// A record from before records were checksummed — a plain line,
@@ -468,6 +479,7 @@ mod tests {
         let loaded = j.load().unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].metric("x"), Some(2.0));
+        remove(&[&j]);
     }
 
     /// Every line of a journal written before journal lines were keyed
@@ -489,6 +501,7 @@ mod tests {
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.results[0].key, "new");
         assert_eq!(report.keys, vec![key_of(&report.results[0])]);
+        remove(&[&j]);
     }
 
     #[test]
@@ -512,6 +525,7 @@ mod tests {
         assert_eq!(report.corrupt, 2);
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.results[0].key, "c");
+        remove(&[&j]);
     }
 
     #[test]
@@ -529,6 +543,7 @@ mod tests {
         assert_eq!(report.corrupt, 1, "swap must be detected, not trusted");
         assert_eq!(report.results.len(), 1);
         assert_eq!(report.results[0].key, "b");
+        remove(&[&j]);
     }
 
     // NOTE: the bit-flip sweep runs in `fx_store::log`; the store runs

@@ -445,7 +445,8 @@ impl CampaignSpec {
             );
         }
 
-        let mut params = Params::default();
+        let shared = parse_overrides(|key| doc.get_in("params", key), "params.")?;
+        let mut params = Params::default().with_overrides(&shared);
         let pf = |key: &str| -> Result<Option<f64>, String> {
             match doc.get_in("params", key) {
                 None => Ok(None),
@@ -470,23 +471,14 @@ impl CampaignSpec {
             }
             params.k = k;
         }
-        if let Some(eps) = pf("epsilon")? {
-            if !(0.0..=1.0).contains(&eps) {
-                return Err("params.epsilon must be in [0, 1]".into());
-            }
-            params.epsilon = Some(eps);
-        }
         if let Some(sigma) = pf("sigma")? {
             params.sigma = sigma;
         }
         if let Some(t) = pu("trials")? {
-            params.trials = t.max(1);
-        }
-        if let Some(s) = pu("samples")? {
-            if s == 0 {
-                return Err("params.samples must be ≥ 1".into());
+            if t == 0 {
+                return Err("params.trials must be ≥ 1".into());
             }
-            params.samples = s;
+            params.trials = t;
         }
         if let Some(g) = pf("gamma")? {
             if !(g > 0.0 && g < 1.0) {
@@ -495,13 +487,10 @@ impl CampaignSpec {
             params.gamma = g;
         }
         if let Some(g) = pu("grid")? {
-            params.grid = g.max(2);
-        }
-        if let Some(t) = pu("timeout_ms")? {
-            if t == 0 {
-                return Err("params.timeout_ms must be ≥ 1 (omit it for no timeout)".into());
+            if g < 2 {
+                return Err("params.grid must be ≥ 2".into());
             }
-            params.timeout_ms = Some(t as u64);
+            params.grid = g;
         }
         if let Some(r) = pu("retries")? {
             params.retries = r;
@@ -588,6 +577,47 @@ fn is_grid_table(name: &str) -> bool {
     name == "grid" || name.starts_with("grid-")
 }
 
+/// Parses and validates the `[params]` keys a `[grid-…]` table may
+/// override (`epsilon`, `samples`, `timeout_ms`), read through `get`
+/// from either table. `at` prefixes each key in error messages
+/// (`params.`, `[grid-a] `).
+fn parse_overrides<'a>(
+    get: impl Fn(&str) -> Option<&'a TomlValue>,
+    at: &str,
+) -> Result<GridOverrides, String> {
+    let integer = |key: &str| {
+        get(key)
+            .map(|v| {
+                v.as_usize()
+                    .ok_or(format!("{at}{key} must be a non-negative integer"))
+            })
+            .transpose()
+    };
+    let mut overrides = GridOverrides::default();
+    if let Some(v) = get("epsilon") {
+        let eps = v.as_f64().ok_or(format!("{at}epsilon must be a number"))?;
+        if !(0.0..=1.0).contains(&eps) {
+            return Err(format!("{at}epsilon must be in [0, 1]"));
+        }
+        overrides.epsilon = Some(eps);
+    }
+    if let Some(s) = integer("samples")? {
+        if s == 0 {
+            return Err(format!("{at}samples must be ≥ 1"));
+        }
+        overrides.samples = Some(s);
+    }
+    if let Some(t) = integer("timeout_ms")? {
+        if t == 0 {
+            return Err(format!(
+                "{at}timeout_ms must be ≥ 1 (omit it for no timeout)"
+            ));
+        }
+        overrides.timeout_ms = Some(t as u64);
+    }
+    Ok(overrides)
+}
+
 /// Parses and validates one grid's axes through `get` (root lookup or
 /// a `[grid-…]` table lookup). `allow_overrides` is true for
 /// `[grid-…]` tables, whose entries may override a subset of
@@ -649,38 +679,11 @@ fn parse_grid<'a>(
         origin.push(None);
     }
 
-    let mut overrides = GridOverrides::default();
-    if allow_overrides {
-        if let Some(v) = get("epsilon") {
-            let eps = v
-                .as_f64()
-                .ok_or(format!("[{label}] epsilon must be a number"))?;
-            if !(0.0..=1.0).contains(&eps) {
-                return Err(format!("[{label}] epsilon must be in [0, 1]"));
-            }
-            overrides.epsilon = Some(eps);
-        }
-        if let Some(v) = get("samples") {
-            let s = v
-                .as_usize()
-                .ok_or(format!("[{label}] samples must be a non-negative integer"))?;
-            if s == 0 {
-                return Err(format!("[{label}] samples must be ≥ 1"));
-            }
-            overrides.samples = Some(s);
-        }
-        if let Some(v) = get("timeout_ms") {
-            let t = v.as_usize().ok_or(format!(
-                "[{label}] timeout_ms must be a non-negative integer"
-            ))?;
-            if t == 0 {
-                return Err(format!(
-                    "[{label}] timeout_ms must be ≥ 1 (omit it for no timeout)"
-                ));
-            }
-            overrides.timeout_ms = Some(t as u64);
-        }
-    }
+    let overrides = if allow_overrides {
+        parse_overrides(&get, &format!("[{label}] "))?
+    } else {
+        GridOverrides::default()
+    };
 
     let algo_strings = string_list("algorithms")?;
     if algo_strings.is_empty() {
@@ -980,6 +983,9 @@ algorithms = ["span"]
             ("gamma = 1.5", "gamma"),
             ("gamma = 0", "gamma"),
             ("samples = 0", "samples"),
+            ("trials = 0", "params.trials must be ≥ 1"),
+            ("grid = 0", "params.grid must be ≥ 2"),
+            ("grid = 1", "params.grid must be ≥ 2"),
             ("trial_batch = 8", "trial_batch"),
         ] {
             let err = CampaignSpec::parse(&format!(
@@ -1217,18 +1223,33 @@ samples = 200
             .with_overrides(&by_label("grid-default").overrides);
         assert_eq!(eff_default, spec.params);
 
-        // bad override values are parse errors, with the grid label
-        for bad in [
-            "epsilon = 1.5",
-            "samples = 0",
-            "timeout_ms = 0",
-            "samples = \"many\"",
+        // bad override values are parse errors under one rule in both
+        // tables, each naming its table and key
+        let axes = "graphs = [\"cycle:10\"]\nalgorithms = [\"span\"]";
+        for (bad, key, rule) in [
+            ("epsilon = 1.5", "epsilon", "must be in [0, 1]"),
+            ("epsilon = \"x\"", "epsilon", "must be a number"),
+            ("samples = 0", "samples", "must be ≥ 1"),
+            (
+                "samples = \"many\"",
+                "samples",
+                "must be a non-negative integer",
+            ),
+            (
+                "timeout_ms = 0",
+                "timeout_ms",
+                "must be ≥ 1 (omit it for no timeout)",
+            ),
+            (
+                "timeout_ms = 2.5",
+                "timeout_ms",
+                "must be a non-negative integer",
+            ),
         ] {
-            let text = format!(
-                "name = \"d\"\n[grid-a]\ngraphs = [\"cycle:10\"]\nalgorithms = [\"span\"]\n{bad}"
-            );
-            let err = CampaignSpec::parse(&text).unwrap_err();
-            assert!(err.contains("[grid-a]"), "{bad} → {err}");
+            let grid = CampaignSpec::parse(&format!("name = \"d\"\n[grid-a]\n{axes}\n{bad}"));
+            assert_eq!(grid.unwrap_err(), format!("[grid-a] {key} {rule}"));
+            let params = CampaignSpec::parse(&format!("name = \"d\"\n{axes}\n[params]\n{bad}"));
+            assert_eq!(params.unwrap_err(), format!("params.{key} {rule}"));
         }
         // overrides are grid-table-only: at the root they are unknown
         assert!(CampaignSpec::parse(

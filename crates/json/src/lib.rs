@@ -2,28 +2,17 @@
 //!
 //! The workspace builds offline, so instead of `serde`/`serde_json` it
 //! carries this small crate: a JSON value model ([`Json`]), a strict
-//! recursive-descent parser ([`Json::parse`]), compact and pretty
-//! printers, and [`ToJson`]/[`FromJson`] traits with a macro helper
-//! ([`impl_json_object!`]) that generates impls for plain structs in
-//! the shape serde would produce.
+//! recursive-descent parser ([`Json::parse`]), and compact
+//! (`Display`) and pretty ([`Json::to_string_pretty`]) printers.
 //!
 //! The campaign journal, the cell store, `aggregates.json`, the
 //! `fxnet serve` bodies, the trace sinks and the bench ledger all
-//! serialize through this crate; the journaled `CellResult` is the
-//! one struct encoded through [`impl_json_object!`].
-//!
-//! ```ignore
-//! use fx_json::{FromJson, Json, ToJson};
-//!
-//! #[derive(Debug, PartialEq)]
-//! struct P { x: f64, label: String }
-//! fx_json::impl_json_object!(P { x, label });
-//!
-//! let p = P { x: 1.5, label: "a".into() };
-//! let text = fx_json::to_string(&p);           // {"x":1.5,"label":"a"}
-//! let back: P = fx_json::from_str(&text).unwrap();
-//! assert_eq!(back, p);
-//! ```
+//! build and read [`Json`] values directly. The one struct with a
+//! codec of its own is the campaign engine's journaled `CellResult`:
+//! it implements [`ToJson`] and [`FromJson`] by hand, and [`Json`]
+//! implements [`ToJson`]. The two traits stay so that [`to_string`]
+//! and [`from_str`] take either type, which is how the journal, the
+//! store and the benchmark call them.
 
 #![warn(missing_docs)]
 
@@ -473,13 +462,15 @@ fn utf8_width(first: u8) -> usize {
     }
 }
 
-/// Types that can render themselves as a [`Json`] value.
+/// Types that can render themselves as a [`Json`] value: [`Json`]
+/// itself and the campaign engine's journaled `CellResult`.
 pub trait ToJson {
     /// Converts to a JSON value.
     fn to_json(&self) -> Json;
 }
 
-/// Types that can be reconstructed from a [`Json`] value.
+/// Types that can be reconstructed from a [`Json`] value: the campaign
+/// engine's journaled `CellResult`.
 pub trait FromJson: Sized {
     /// Converts from a JSON value.
     fn from_json(v: &Json) -> Result<Self, String>;
@@ -488,11 +479,6 @@ pub trait FromJson: Sized {
 /// Serializes compactly (serde_json `to_string` shape).
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
     value.to_json().to_string()
-}
-
-/// Serializes with 2-space indentation.
-pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().to_string_pretty()
 }
 
 /// Parses `text` and converts to `T`.
@@ -506,317 +492,9 @@ impl ToJson for Json {
     }
 }
 
-impl FromJson for Json {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(v.clone())
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        v.as_bool()
-            .ok_or_else(|| format!("expected bool, got {v:?}"))
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("expected string, got {v:?}"))
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-macro_rules! impl_json_float {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Num(*self as f64)
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, String> {
-                match v {
-                    // non-finite floats serialize as null; accept both ways
-                    Json::Null => Ok(<$t>::NAN),
-                    other => other
-                        .as_f64()
-                        .map(|x| x as $t)
-                        .ok_or_else(|| format!("expected number, got {other:?}")),
-                }
-            }
-        }
-    )*};
-}
-
-impl_json_float!(f32, f64);
-
-macro_rules! impl_json_uint {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::UInt(*self as u64)
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, String> {
-                let u = v
-                    .as_u64()
-                    .ok_or_else(|| format!("expected unsigned integer, got {v:?}"))?;
-                <$t>::try_from(u)
-                    .map_err(|_| format!("integer {u} out of range for {}", stringify!($t)))
-            }
-        }
-    )*};
-}
-
-impl_json_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_json_sint {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                let v = *self as i64;
-                if v >= 0 {
-                    Json::UInt(v as u64)
-                } else {
-                    Json::Int(v)
-                }
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, String> {
-                let wide: i64 = match v {
-                    Json::UInt(u) => i64::try_from(*u)
-                        .map_err(|_| format!("integer {u} too large for {}", stringify!($t)))?,
-                    Json::Int(i) => *i,
-                    Json::Num(x) if x.fract() == 0.0 && x.abs() <= 9.0e15 => *x as i64,
-                    other => return Err(format!("expected integer, got {other:?}")),
-                };
-                <$t>::try_from(wide)
-                    .map_err(|_| format!("integer {wide} out of range for {}", stringify!($t)))
-            }
-        }
-    )*};
-}
-
-impl_json_sint!(i8, i16, i32, i64, isize);
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(x) => x.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        if v.is_null() {
-            Ok(None)
-        } else {
-            T::from_json(v).map(Some)
-        }
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        v.as_array()
-            .ok_or_else(|| format!("expected array, got {v:?}"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_array() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
-            _ => Err(format!("expected 2-element array, got {v:?}")),
-        }
-    }
-}
-
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_array() {
-            Some([a, b, c]) => Ok((A::from_json(a)?, B::from_json(b)?, C::from_json(c)?)),
-            _ => Err(format!("expected 3-element array, got {v:?}")),
-        }
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
-    }
-}
-
-/// Implements [`ToJson`]/[`FromJson`] for a plain struct with named
-/// fields, in serde's default shape: `{"field": value, ...}`.
-///
-/// Fields listed in an optional trailing `default { ... }` block fall
-/// back to `Default::default()` when the key is absent — the
-/// back-compat hook for fields added to a type whose serialized form
-/// already exists on disk (e.g. journal records from an older build).
-///
-/// ```ignore
-/// fx_json::impl_json_object!(Point { x, y });
-/// fx_json::impl_json_object!(Record { key, value } default { notes });
-/// ```
-#[macro_export]
-macro_rules! impl_json_object {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
-        $crate::impl_json_object!($ty { $($field),+ } default {});
-    };
-    ($ty:ident { $($field:ident),+ $(,)? } default { $($dfield:ident),* $(,)? }) => {
-        impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Json {
-                $crate::Json::Obj(vec![
-                    $((stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)),)+
-                    $((stringify!($dfield).to_string(), $crate::ToJson::to_json(&self.$dfield)),)*
-                ])
-            }
-        }
-        impl $crate::FromJson for $ty {
-            fn from_json(v: &$crate::Json) -> Result<Self, String> {
-                Ok($ty {
-                    $($field: {
-                        match v.get(stringify!($field)) {
-                            Some(f) => $crate::FromJson::from_json(f),
-                            None => $crate::FromJson::from_json(&$crate::Json::Null),
-                        }
-                        .map_err(|e| {
-                            format!("{}.{}: {}", stringify!($ty), stringify!($field), e)
-                        })?
-                    },)+
-                    $($dfield: {
-                        match v.get(stringify!($dfield)) {
-                            Some(f) => $crate::FromJson::from_json(f).map_err(|e| {
-                                format!("{}.{}: {}", stringify!($ty), stringify!($dfield), e)
-                            })?,
-                            None => Default::default(),
-                        }
-                    },)*
-                })
-            }
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[derive(Debug, PartialEq)]
-    struct Demo {
-        name: String,
-        count: usize,
-        ratio: f64,
-        upper: Option<f64>,
-        ok: bool,
-        pairs: Vec<(String, f64)>,
-    }
-    impl_json_object!(Demo {
-        name,
-        count,
-        ratio,
-        upper,
-        ok,
-        pairs
-    });
-
-    fn demo() -> Demo {
-        Demo {
-            name: "q\"uote".into(),
-            count: 42,
-            ratio: 0.125,
-            upper: None,
-            ok: true,
-            pairs: vec![("x".into(), 1.5), ("y".into(), -2.0)],
-        }
-    }
-
-    #[test]
-    fn object_roundtrip_compact_shape() {
-        let d = demo();
-        let text = to_string(&d);
-        assert!(text.contains("\"count\":42"), "{text}");
-        assert!(text.contains("null"), "{text}");
-        let back: Demo = from_str(&text).unwrap();
-        assert_eq!(back, d);
-    }
-
-    #[derive(Debug, PartialEq, Default)]
-    struct Versioned {
-        key: String,
-        notes: Vec<(String, f64)>,
-    }
-    impl_json_object!(Versioned { key } default { notes });
-
-    #[test]
-    fn object_default_fields_tolerate_absent_keys() {
-        // a document written before `notes` existed still loads
-        let old: Versioned = from_str(r#"{"key":"a"}"#).unwrap();
-        assert_eq!(old.key, "a");
-        assert!(old.notes.is_empty());
-        // round-trip serializes and restores the field normally
-        let full = Versioned {
-            key: "b".into(),
-            notes: vec![("n".into(), 1.5)],
-        };
-        let text = to_string(&full);
-        assert!(text.contains("\"notes\""), "{text}");
-        assert_eq!(from_str::<Versioned>(&text).unwrap(), full);
-        // present-but-wrong-type is still a loud error
-        let err = from_str::<Versioned>(r#"{"key":"c","notes":7}"#).unwrap_err();
-        assert!(err.contains("Versioned.notes"), "{err}");
-    }
 
     #[test]
     fn parser_accepts_standard_documents() {
@@ -871,11 +549,5 @@ mod tests {
         let pretty = v.to_string_pretty();
         assert!(pretty.contains("\n  \"a\": ["));
         assert_eq!(Json::parse(&pretty).unwrap(), v);
-    }
-
-    #[test]
-    fn missing_fields_error_with_path() {
-        let err = from_str::<Demo>("{\"name\":\"x\"}").unwrap_err();
-        assert!(err.contains("Demo.count"), "{err}");
     }
 }

@@ -366,6 +366,7 @@ mod tests {
                 );
             }
         }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -126,10 +126,13 @@ fn records_of_an_earlier_results_epoch_are_never_reused() {
     }
     drop((journal, cache));
 
-    let summary = run_campaign(&spec, out, 2);
+    let summary = run_campaign(&spec, out.clone(), 2);
     assert_eq!((summary.skipped, summary.executed), (0, cells.len()));
     assert_eq!(summary.cache_hits, 0);
     assert!(summary.complete);
+    for dir in [store, out] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 proptest! {
@@ -185,6 +188,7 @@ proptest! {
                 &aggregates_bytes(&warm_out), &cold_bytes,
                 "warm aggregates must be bit-identical (threads {})", threads
             );
+            let _ = std::fs::remove_dir_all(warm_out);
         }
 
         // Poisoned: damage the shard files, then re-run at both
@@ -210,6 +214,7 @@ proptest! {
                 &aggregates_bytes(&out), &cold_bytes,
                 "poisoned-store aggregates must be bit-identical (threads {})", threads
             );
+            let _ = std::fs::remove_dir_all(out);
         }
 
         // The recomputing run above re-published every damaged cell:
@@ -218,5 +223,8 @@ proptest! {
         let healed = run_campaign(&spec, healed_out.clone(), 1);
         prop_assert_eq!(healed.cache_hits, total, "recomputed cells re-publish");
         prop_assert_eq!(&aggregates_bytes(&healed_out), &cold_bytes);
+        for dir in [store, cold_out, healed_out] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

@@ -32,7 +32,7 @@
 //! * **`json`** — the dependency-free JSON layer behind every
 //!   serialized artifact (the build environment is offline, so there
 //!   is no serde; `vendor/` likewise ships API-compatible stand-ins
-//!   for `rand`, `parking_lot`, `proptest`, and `criterion`).
+//!   for `rand`, `proptest`, and `criterion`).
 //!
 //! ## Quickstart
 //!

@@ -205,7 +205,7 @@ fn served_cells_are_bit_identical_to_fresh_runs_warm_and_cold() {
     // Populate the store with a real campaign run, then serve from it.
     let opts = RunOptions {
         quiet: true,
-        output: Some(out_dir),
+        output: Some(out_dir.clone()),
         ..RunOptions::default()
     };
     let summary = run(&spec, &opts).unwrap();
@@ -283,6 +283,9 @@ fn served_cells_are_bit_identical_to_fresh_runs_warm_and_cold() {
         assert_eq!(again.body, reply.body, "hot and cold bytes differ");
     }
     cold.shutdown();
+    for dir in [store_dir, out_dir, cold_store] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]
@@ -307,6 +310,7 @@ fn ad_hoc_cells_outside_the_spec_grid_are_computed_and_memoized() {
     assert_eq!(warm.header("X-Cache"), Some("hit"));
     assert_eq!(warm.body, cold.body);
     server.shutdown();
+    let _ = std::fs::remove_dir_all(store_dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -705,4 +709,5 @@ fn a_cell_slower_than_the_request_timeout_answers_504_and_a_retry_hits() {
     assert_eq!(stat(addr, "computed"), 1);
     assert_eq!(stat(addr, "misses"), 1);
     server.shutdown();
+    let _ = std::fs::remove_dir_all(store_dir);
 }

@@ -40,7 +40,7 @@ fn run_with(tag: &str, filter: &str, threads: usize) -> (PathBuf, Vec<u8>) {
 
 #[test]
 fn aggregates_bit_identical_with_tracing_on_and_off() {
-    let (_, baseline) = run_with("off", "off", 2);
+    let (off, baseline) = run_with("off", "off", 2);
     for threads in [1usize, 2] {
         let (dir, traced) = run_with(&format!("on-t{threads}"), "all=2", threads);
         assert_eq!(
@@ -56,4 +56,5 @@ fn aggregates_bit_identical_with_tracing_on_and_off() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+    let _ = std::fs::remove_dir_all(off);
 }
