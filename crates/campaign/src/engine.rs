@@ -5,9 +5,10 @@
 //! journaled cells skips them, so resuming after a kill (or growing a
 //! spec with new axis values) only pays for missing cells. A journal
 //! record matches a cell by its store key
-//! ([`store_key`]), so a record made with
-//! another seed or other params never stands in for the cell, and
-//! records of cells outside the grid are never aggregated.
+//! ([`store_key`]), so a record made with another seed or another
+//! value of a param the cell reads never stands in for the cell, and
+//! records of cells outside the grid are never aggregated (the run
+//! drops them from the journal before it appends).
 
 use crate::agg::{aggregate, GroupAggregate};
 use crate::exec::{run_cell_resilient, CellResult};
@@ -86,11 +87,21 @@ fn output_dir(spec: &CampaignSpec, opts: &RunOptions) -> PathBuf {
     opts.output.clone().unwrap_or_else(|| spec.output.clone())
 }
 
-/// Applies the `--shard i/m` filter: keeps the cells whose
-/// identity-hash shard is `i`.
-fn shard_cells(cells: Vec<Cell>, opts: &RunOptions) -> Result<Vec<Cell>, String> {
+/// The grid's cells and their store keys.
+fn grid_cells(spec: &CampaignSpec) -> Result<(Vec<Cell>, Vec<u64>), String> {
+    let cells = expand(spec)?;
+    let keys = cells.iter().map(|c| store_key(spec, c)).collect();
+    Ok((cells, keys))
+}
+
+/// Applies the `--shard i/m` filter: keeps the cells (and their keys)
+/// whose identity-hash shard is `i`.
+fn shard_cells(
+    (cells, keys): (Vec<Cell>, Vec<u64>),
+    opts: &RunOptions,
+) -> Result<(Vec<Cell>, Vec<u64>), String> {
     let Some((index, count)) = opts.shard else {
-        return Ok(cells);
+        return Ok((cells, keys));
     };
     if count == 0 || index >= count {
         return Err(format!(
@@ -99,8 +110,9 @@ fn shard_cells(cells: Vec<Cell>, opts: &RunOptions) -> Result<Vec<Cell>, String>
     }
     Ok(cells
         .into_iter()
-        .filter(|c| crate::grid::shard_of(&c.key(), count) == index)
-        .collect())
+        .zip(keys)
+        .filter(|(c, _)| crate::grid::shard_of(&c.key(), count) == index)
+        .unzip())
 }
 
 /// The journal a spec checkpoints into.
@@ -136,8 +148,10 @@ fn chaos_slow(i: usize) {
 /// Runs (or resumes) a campaign: executes every non-journaled cell,
 /// then aggregates and writes artifacts.
 pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String> {
-    let cells = shard_cells(expand(spec)?, opts)?;
-    let keys: Vec<u64> = cells.iter().map(|c| store_key(spec, c)).collect();
+    let grid = grid_cells(spec)?;
+    // the journal keeps every shard's records
+    let grid_keys = grid.1.clone();
+    let (cells, keys) = shard_cells(grid, opts)?;
     let journal = journal_for(spec, opts);
     // `[params] store`: open (or create) the shared content-addressed
     // result store. Opening recovers crash-safely — corrupt entries
@@ -151,17 +165,7 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
         None => None,
     };
     let loaded = journal.load_report()?;
-    if loaded.corrupt > 0 {
-        // a corrupt line holds no usable record (its cell re-runs
-        // below or on the next resume), so rewrite the journal from
-        // this load before appending: `--strict` then reports only
-        // damage still on disk
-        journal.rewrite(&loaded)?;
-        eprintln!(
-            "campaign {}: dropped {} corrupt journal line(s)",
-            spec.name, loaded.corrupt
-        );
-    }
+    keep_only_grid_records(spec, &journal, &loaded, &grid_keys)?;
     let records = grid_records(&loaded, &keys);
     // only successful records count as done: quarantined cells re-run
     // like unseen cells, with their cumulative attempt count carried
@@ -275,6 +279,39 @@ pub fn run(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String>
         .artifacts
         .extend(write_trace_artifacts(&output_dir(spec, opts), opts.quiet)?);
     Ok(summary)
+}
+
+/// Rewrites the journal to hold exactly the grid's records (`keys`,
+/// every shard's cells included) when `loaded` found
+/// any other line: a corrupt, keyless, duplicate or superseded line,
+/// or a record of a cell outside the grid (another seed, other params,
+/// a dropped axis value). Those hold no record this grid can use, so
+/// dropping them before appending keeps the journal the size of its
+/// grid, and `--strict` then reports only damage still on disk. The
+/// cell store, not the journal, keeps results across grids.
+fn keep_only_grid_records(
+    spec: &CampaignSpec,
+    journal: &Journal,
+    loaded: &LoadReport,
+    keys: &[u64],
+) -> Result<(), String> {
+    let records = grid_records(loaded, keys);
+    let kept = records.iter().flatten().count();
+    if loaded.corrupt == 0 && loaded.lines == kept {
+        return Ok(());
+    }
+    journal.rewrite(
+        keys.iter()
+            .zip(&records)
+            .filter_map(|(&k, r)| Some((k, (*r)?))),
+    )?;
+    if loaded.corrupt > 0 {
+        eprintln!(
+            "campaign {}: dropped {} corrupt journal line(s)",
+            spec.name, loaded.corrupt
+        );
+    }
+    Ok(())
 }
 
 /// Consults the content-addressed store for `cell` under its store
@@ -392,8 +429,7 @@ fn write_trace_artifacts(dir: &std::path::Path, quiet: bool) -> Result<Vec<PathB
 /// Aggregates the journal and writes artifacts without executing
 /// anything.
 pub fn report(spec: &CampaignSpec, opts: &RunOptions) -> Result<RunSummary, String> {
-    let cells = shard_cells(expand(spec)?, opts)?;
-    let keys: Vec<u64> = cells.iter().map(|c| store_key(spec, c)).collect();
+    let (_, keys) = shard_cells(grid_cells(spec)?, opts)?;
     let journal = journal_for(spec, opts);
     let loaded = journal.load_report()?;
     let skipped = count_ok(&grid_records(&loaded, &keys));
@@ -896,6 +932,45 @@ timeout_ms = 50
         let text = ENGINE_TEST.replace("expansion-cert", "prune");
         let changed = format!("{text}[params]\nk = 3.0\n");
         assert_change_reruns_every_cell("param-k", &text, &changed);
+    }
+
+    /// A run leaves exactly its grid's records in the journal: a
+    /// reseeded run into the same directory replaces the other seed's
+    /// lines instead of appending beside them, and switching back
+    /// re-runs the first seed's cells.
+    #[test]
+    fn reseeded_run_leaves_only_its_grids_records() {
+        let dir = temp_dir("reseed-lines");
+        let lines = || {
+            let text = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+            text.lines().count()
+        };
+        let reseeded = ENGINE_TEST.replace("seed = 5", "seed = 999");
+        run(&parse_in(ENGINE_TEST, &dir), &quiet(2)).unwrap();
+        let rerun = run(&parse_in(&reseeded, &dir), &quiet(2)).unwrap();
+        assert_eq!((rerun.executed, lines()), (8, 8));
+        let back = run(&parse_in(ENGINE_TEST, &dir), &quiet(2)).unwrap();
+        assert_eq!((back.skipped, back.executed, lines()), (0, 8, 8));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Shards run one after the other into one directory keep each
+    /// other's records: the journal holds the whole grid's.
+    #[test]
+    fn shards_run_into_one_directory_keep_each_others_records() {
+        let dir = temp_dir("shards-one-dir");
+        let spec = spec_in(&dir);
+        for i in 0..2 {
+            let opts = RunOptions {
+                shard: Some((i, 2)),
+                ..quiet(1)
+            };
+            run(&spec, &opts).unwrap();
+        }
+        let reported = report(&spec, &quiet(1)).unwrap();
+        assert!(reported.complete);
+        assert_eq!(reported.skipped, 8);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Records of cells the grid no longer holds are neither counted

@@ -360,13 +360,13 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
     FAULT_NS.with(|c| c.set(0));
     let algo_started = Instant::now();
     let algo_span = Span::enter(Target::Cell, "phase.algo");
-    let mut metrics: Vec<(String, f64)> = match cell.algo {
+    let mut metrics = vec![("n".to_string(), net.n() as f64)];
+    metrics.extend(match cell.algo {
         Algo::Prune => {
             let model = fault_model(&cell.fault, &built);
             let r = analyze_adversarial(net, model.as_ref(), params.k, cell.seed);
             let n = r.n.max(1) as f64;
             let mut m = vec![
-                ("n".to_string(), r.n as f64),
                 ("faults".to_string(), r.faults as f64),
                 ("gamma_after_faults".to_string(), r.gamma_after_faults),
                 ("kept_fraction".to_string(), r.kept as f64 / n),
@@ -389,7 +389,6 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
                 .unwrap_or_else(|| theorem34_max_epsilon(net.max_degree()));
             let r = analyze_random(net, p, epsilon, params.sigma, params.trials, cell.seed);
             vec![
-                ("n".to_string(), r.n as f64),
                 ("p".to_string(), p),
                 ("epsilon".to_string(), epsilon),
                 ("mean_gamma".to_string(), r.mean_gamma),
@@ -432,7 +431,6 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
                     _ => unreachable!(),
                 };
                 vec![
-                    ("n".to_string(), n as f64),
                     ("p".to_string(), p),
                     ("trials".to_string(), t),
                     ("gamma".to_string(), mean),
@@ -447,7 +445,6 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
                 let alive = fx_percolation::sample_alive_nodes(net.n(), 1.0 - p, &mut rng);
                 let g_frac = fx_percolation::gamma_site(&net.graph, &alive);
                 vec![
-                    ("n".to_string(), net.n() as f64),
                     ("p".to_string(), *p),
                     (
                         "alive_fraction".to_string(),
@@ -461,7 +458,6 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
             FaultSpec::HeavyTailed { .. } | FaultSpec::Clustered { .. } => {
                 let (failed, alive) = sample_faults(&built, cell, &mut rng);
                 vec![
-                    ("n".to_string(), net.n() as f64),
                     ("faults".to_string(), failed.len() as f64),
                     (
                         "alive_fraction".to_string(),
@@ -493,7 +489,6 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
                 let auc = grid_curve.iter().sum::<f64>() / grid_curve.len() as f64;
                 let f_star = crossing_fraction(&fracs[..=params.grid], grid_curve, params.gamma);
                 vec![
-                    ("n".to_string(), net.n() as f64),
                     ("frac".to_string(), *frac),
                     ("gamma".to_string(), g_at),
                     ("f_star_targeted".to_string(), f_star),
@@ -523,7 +518,6 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
                     token,
                 );
                 vec![
-                    ("n".to_string(), net.n() as f64),
                     ("p_star".to_string(), est.p_star),
                     ("tolerance".to_string(), 1.0 - est.p_star),
                 ]
@@ -533,7 +527,6 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
             if net.n() <= 20 {
                 let est = exact_span_cancelable(&net.graph, 50_000_000, token);
                 vec![
-                    ("n".to_string(), net.n() as f64),
                     ("span".to_string(), est.max_ratio),
                     ("sets_examined".to_string(), est.sets_examined as f64),
                     ("exhaustive".to_string(), f64::from(est.exhaustive)),
@@ -547,7 +540,6 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
                     token,
                 );
                 vec![
-                    ("n".to_string(), net.n() as f64),
                     ("span".to_string(), est.max_ratio),
                     ("sets_examined".to_string(), est.sets_examined as f64),
                     ("exhaustive".to_string(), 0.0),
@@ -563,7 +555,7 @@ pub fn run_cell_cancelable(spec: &CampaignSpec, cell: &Cell, token: &CancelToken
         Algo::LoadBalance => load_balance_metrics(&built, params, cell, &mut rng, token),
         Algo::Embed => embed_metrics(&built, params, cell, &mut rng, token),
         Algo::SubgraphCount => subgraph_count_metrics(&built),
-    };
+    });
     metrics.extend(scenario_metrics(&built, params));
     drop(algo_span);
     let fault_ms = FAULT_NS.with(std::cell::Cell::get) as f64 / 1e6;
@@ -767,7 +759,6 @@ fn expansion_cert_metrics(
     let (failed, alive) = sample_faults(built, cell, rng);
     if alive.is_empty() {
         return vec![
-            ("n".to_string(), net.n() as f64),
             ("faults".to_string(), failed.len() as f64),
             ("gamma".to_string(), 0.0),
         ];
@@ -775,7 +766,6 @@ fn expansion_cert_metrics(
     let a = node_expansion_bounds(&net.graph, &alive, Effort::Auto, rng);
     let ae = edge_expansion_bounds(&net.graph, &alive, Effort::Auto, rng);
     vec![
-        ("n".to_string(), net.n() as f64),
         ("faults".to_string(), failed.len() as f64),
         ("gamma".to_string(), gamma(&net.graph, &alive)),
         ("alpha_lower".to_string(), a.lower),
@@ -797,7 +787,6 @@ fn shatter_metrics(built: &BuiltScenario, cell: &Cell, rng: &mut SmallRng) -> Ve
     let biggest = comps.largest;
     let alive_n = alive.len();
     let mut m = vec![
-        ("n".to_string(), net.n() as f64),
         ("faults".to_string(), failed.len() as f64),
         ("gamma".to_string(), biggest as f64 / net.n().max(1) as f64),
         ("components".to_string(), comps.count as f64),
@@ -858,7 +847,6 @@ fn dissect_metrics(
     );
     let bound = theorem25_removal_bound(n, ab.upper, eps);
     vec![
-        ("n".to_string(), n as f64),
         ("eps".to_string(), eps),
         ("alpha_upper".to_string(), ab.upper),
         ("removed".to_string(), d.num_removed() as f64),
@@ -896,7 +884,6 @@ fn diameter_metrics(
     let (failed, alive) = sample_faults(built, cell, rng);
     let out = prune_faulty(net, &alive, params, rng);
     let mut m = vec![
-        ("n".to_string(), net.n() as f64),
         ("faults".to_string(), failed.len() as f64),
         ("kept".to_string(), out.kept.len() as f64),
         (
@@ -968,7 +955,6 @@ fn compact_audit_metrics(
     }
     let frac = |x: usize| x as f64 / tried.max(1) as f64;
     vec![
-        ("n".to_string(), n as f64),
         ("samples".to_string(), tried as f64),
         ("compact_ok_fraction".to_string(), frac(compact_ok)),
         ("ratio_ok_fraction".to_string(), frac(ratio_ok)),
@@ -997,7 +983,6 @@ fn routing_metrics(
 
     let out = prune_faulty(net, &alive, params, rng);
     let mut m = vec![
-        ("n".to_string(), net.n() as f64),
         ("faults".to_string(), failed.len() as f64),
         (
             "healthy_congestion".to_string(),
@@ -1047,7 +1032,6 @@ fn load_balance_metrics(
     let healthy = run(&full);
     let (failed, alive) = sample_faults(built, cell, rng);
     let mut m = vec![
-        ("n".to_string(), net.n() as f64),
         ("faults".to_string(), failed.len() as f64),
         ("healthy_rounds".to_string(), healthy.rounds as f64),
         (
@@ -1092,10 +1076,7 @@ fn embed_metrics(
 ) -> Vec<(String, f64)> {
     let net = &built.net;
     let (failed, alive) = sample_faults(built, cell, rng);
-    let mut m = vec![
-        ("n".to_string(), net.n() as f64),
-        ("faults".to_string(), failed.len() as f64),
-    ];
+    let mut m = vec![("faults".to_string(), failed.len() as f64)];
     let pruned = prune_faulty(net, &alive, params, rng);
     // draws no random numbers, so it may follow the prune
     let raw_core = largest_component(&net.graph, &alive);
@@ -1126,10 +1107,7 @@ fn subgraph_count_metrics(built: &BuiltScenario) -> Vec<(String, f64)> {
     let net = &built.net;
     let (n, delta) = (net.n(), net.max_degree());
     let max_r = SUBGRAPH_COUNT_MAX_R.min(n);
-    let mut m = vec![
-        ("n".to_string(), n as f64),
-        ("delta".to_string(), delta as f64),
-    ];
+    let mut m = vec![("delta".to_string(), delta as f64)];
     let Some(counts) = count_connected_subsets_by_size(&net.graph, max_r, 50_000_000) else {
         m.push(("exhaustive".to_string(), 0.0));
         return m;

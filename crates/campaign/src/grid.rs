@@ -35,18 +35,36 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Unique journal key of this cell.
+    /// Unique journal key of this cell, `graph|fault|algo|rN`.
     pub fn key(&self) -> String {
-        format!(
-            "{}|{}|{}|r{}",
-            self.graph, self.fault, self.algo, self.replicate
-        )
+        self.key_with(&self.graph)
+    }
+
+    /// [`key`](Cell::key) under the canonical scenario spelling
+    /// ([`canonical_graph`]): one string for every spelling of the
+    /// cell.
+    pub(crate) fn canonical_key(&self) -> String {
+        self.key_with(&canonical_graph(&self.graph))
+    }
+
+    fn key_with(&self, graph: &str) -> String {
+        format!("{graph}|{}|{}|r{}", self.fault, self.algo, self.replicate)
     }
 
     /// Aggregation group: the cell key minus the replicate axis.
     pub fn group(&self) -> String {
         format!("{}|{}|{}", self.graph, self.fault, self.algo)
     }
+}
+
+/// The canonical spelling of scenario spec `graph` (its
+/// [`Scenario`](fx_core::Scenario) `Display`), or `graph` itself when
+/// it does not parse: aliases (`rr:…` vs `random-regular:…`,
+/// `overlay:2,48` vs `overlay:2,48,churn=0`) spell one way.
+pub(crate) fn canonical_graph(graph: &str) -> String {
+    fx_core::Scenario::from_spec(graph)
+        .map(|s| s.to_string())
+        .unwrap_or_else(|_| graph.to_string())
 }
 
 /// splitmix64 finalizer — decorrelates related inputs.
@@ -90,9 +108,7 @@ pub fn expand(spec: &CampaignSpec) -> Result<Vec<Cell>, String> {
             // spelling, so aliases (`rr:…` vs `random-regular:…`,
             // `overlay:2,48` vs `overlay:2,48,churn=0`) cannot smuggle
             // the same scenario in twice under two keys
-            let canonical = fx_core::Scenario::from_spec(graph)
-                .map(|s| s.to_string())
-                .unwrap_or_else(|_| graph.clone());
+            let canonical = canonical_graph(graph);
             for fault in &grid.faults {
                 for algo in &grid.algorithms {
                     let tail = format!("{fault}|{algo}");

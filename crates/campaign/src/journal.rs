@@ -5,8 +5,8 @@
 //! The journal is a keyed [`fx_store::log`] record log: each line
 //! carries its cell's [`store_key`](crate::store_key::store_key),
 //! which covers the canonical scenario, fault, algorithm, replicate,
-//! cell seed and every result-affecting parameter, so a record only
-//! ever matches the cell that produced it. The log owns the line format
+//! cell seed and the result-affecting parameters the cell reads, so a
+//! record only ever matches the cell that produced it. The log owns the line format
 //! (`{"crc":"…","key":"…","cell":{…}}`), crash recovery (torn tail
 //! ignored and truncated, corrupt lines skipped and counted), append
 //! retries and the `FXNET_JOURNAL_SYNC` fsync window. A skipped cell
@@ -15,6 +15,11 @@
 //! * a record without a key (every line of a journal written before
 //!   lines were keyed) cannot show which seed and params produced it:
 //!   it is skipped without counting as corrupt, and its cell re-runs;
+//! * a `run`/`resume` rewrites the journal to hold exactly its grid's
+//!   records when it finds any other line (corrupt, keyless, duplicate,
+//!   superseded, or another cell's), so a journal never outgrows its
+//!   grid; the cell store, not the journal, keeps results across
+//!   grids;
 //! * duplicate keys: a **successful** record always beats a
 //!   quarantined (`failed = 1`) one; among successes the **first**
 //!   occurrence wins (cells are pure functions of their identity, so
@@ -47,6 +52,9 @@ pub struct LoadReport {
     /// Complete lines skipped because they were corrupt (checksum
     /// mismatch or unparseable). Their cells re-run on resume.
     pub corrupt: usize,
+    /// Every other complete line, keyless and duplicate lines
+    /// included.
+    pub lines: usize,
 }
 
 impl LoadReport {
@@ -111,6 +119,7 @@ impl Journal {
                 if let Some((key, r)) = parse_line(line)? {
                     report.insert(&mut index, key, r);
                 }
+                report.lines += 1;
                 Ok(())
             })
             .map_err(|e| format!("cannot read {}: {e}", self.path().display()))?;
@@ -137,21 +146,24 @@ impl Journal {
         Ok(journal)
     }
 
-    /// Replaces the journal's contents with `loaded`'s records, each
-    /// sealed under its key — the repair that drops corrupt and
-    /// keyless lines, and the output step of [`merge_journals`]. The
-    /// text goes to a temporary file renamed over the journal, so an
+    /// Replaces the journal's contents with `records`, each sealed
+    /// under its key — the run's repair that keeps exactly its grid's
+    /// records, and the output step of [`merge_journals`]. The text
+    /// goes to a temporary file renamed over the journal, so an
     /// interrupted rewrite never leaves it truncated: journal lines are
     /// paid-for work.
-    pub fn rewrite(&self, loaded: &LoadReport) -> Result<(), String> {
+    pub fn rewrite<'a>(
+        &self,
+        records: impl IntoIterator<Item = (u64, &'a CellResult)>,
+    ) -> Result<(), String> {
         let path = self.path();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)
                 .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
         }
         let mut text = String::new();
-        for (key, r) in loaded.keys.iter().zip(&loaded.results) {
-            text.push_str(&log::seal(*key, &fx_json::to_string(r)));
+        for (key, r) in records {
+            text.push_str(&log::seal(key, &fx_json::to_string(r)));
             text.push('\n');
         }
         let tmp = path.with_extension("jsonl.rewrite-tmp");
@@ -240,7 +252,7 @@ pub fn merge_journals_checked(
         }
     }
     let unique = merged.results.len();
-    Journal::new(output.to_path_buf()).rewrite(&merged)?;
+    Journal::new(output.to_path_buf()).rewrite(merged.keys.iter().copied().zip(&merged.results))?;
     Ok(MergeSummary {
         read,
         unique,

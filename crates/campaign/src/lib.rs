@@ -67,25 +67,30 @@
 //! | `algorithms` | list of algorithms | required¹ |
 //! | `faults` | list of fault models (fx-faults registry grammar) | `["none"]` |
 //! | `fault-sweep` | templated fault specs, `lo..hi/steps` ranges expanded into the axis | — |
-//! | `[grid-…]` | extra `graphs`/`faults`/`fault-sweep`/`algorithms` grids; may override `epsilon`/`samples`/`timeout_ms` per grid | — |
+//! | `[grid-…]` | extra `graphs`/`faults`/`fault-sweep`/`algorithms` grids; may override `epsilon`/`samples` (when one of the grid's algorithms reads it) and `timeout_ms` per grid | — |
 //! | `replicates` | replicates per grid point | 1 |
 //! | `seed` | master seed | 42 |
 //! | `output` | artifact directory | `results/campaigns/<name>` |
-//! | `[params] k` | Theorem 2.1 `k` | 2.0 |
-//! | `[params] epsilon` | `Prune2` ε | `1/(2δ)` per network |
-//! | `[params] sigma` | assumed span σ | 2.0 |
-//! | `[params] trials` | in-cell Monte-Carlo trials | 1 |
-//! | `[params] samples` | sampled-span samples (≥ 1) | 200 |
-//! | `[params] gamma` | `p*` γ threshold, in (0, 1) | 0.1 |
-//! | `[params] grid` | `p*` search resolution | 50 |
-//! | `[params] mode` | percolation `site`/`bond` | `site` |
+//! | `[params] k` | Theorem 2.1 `k`; read by `prune`, `diameter`, `routing`, `load-balance`, `embed` | 2.0 |
+//! | `[params] epsilon` | `prune2`'s ε; `dissect`'s piece-size fraction (0.25 when unset) | `1/(2δ)` per network |
+//! | `[params] sigma` | assumed span σ; read by `prune2` | 2.0 |
+//! | `[params] trials` | in-cell Monte-Carlo trials; read by `prune2`, `percolation` | 1 |
+//! | `[params] samples` | sampled sets (≥ 1); read by `span`, `compact-audit` | 200 |
+//! | `[params] gamma` | `p*` γ threshold, in (0, 1); read by `percolation` | 0.1 |
+//! | `[params] grid` | `p*` search resolution; read by `percolation` | 50 |
+//! | `[params] mode` | percolation `site`/`bond`; read by `percolation` | `site` |
 //! | `[params] timeout_ms` | per-cell wall-clock budget (cells past it are cancelled cooperatively and journaled `timed_out`) | unbounded |
 //! | `[params] retries` | per-cell retry budget: a panicking cell is re-attempted this many times before being quarantined | 2 |
-//! | `[params] churn_curves` | survival-curve engine for churn traces: `dyncon` (offline segment-tree + rollback-union-find solve), `oracle` (per-snapshot re-sweeps, bit-identical metrics) | `dyncon` |
+//! | `[params] churn_curves` | survival-curve engine for churn traces: `dyncon` (offline segment-tree + rollback-union-find solve), `oracle` (per-snapshot re-sweeps, bit-identical metrics); read by every cell of an overlay with `churn > 0` | `dyncon` |
 //! | `[params] store` | content-addressed cell-result store directory (`fx-store`): successful cells are published and later runs with overlapping grids are served from it (journaled `cache_hit = 1`, bit-identical aggregates); `off` disables | `off` |
 //!
 //! ¹ root-level axes may be omitted when at least one `[grid-…]`
 //! table declares a grid.
+//!
+//! Which algorithm reads which key is declared once, in the algorithm
+//! registry beside [`Algo`]; a cell's store key folds exactly the keys
+//! it reads, so a change to any other key still finds the cell in the
+//! journal and the store.
 //!
 //! ## Fault tolerance
 //!

@@ -26,10 +26,8 @@
 //!   [`cell_body`] path without a daemon.
 //! * `GET /v1/health` — liveness probe (`ok`).
 //! * `GET /v1/stats` — hits/misses/coalesced/computed/rejected
-//!   counters plus inflight and queue-depth gauges. Gauges live in
-//!   dedicated atomics (fx-trace counters drain on snapshot); every
-//!   counter is *also* mirrored to `serve`-target trace counters so
-//!   `FXNET_TRACE=serve` works and tests can assert single-flight.
+//!   counters plus inflight and queue-depth gauges, each kept in one
+//!   atomic.
 //!
 //! Failure containment mirrors the campaign engine: a panicking cell
 //! is caught by the panic isolation the engine's
@@ -41,10 +39,9 @@
 
 use crate::engine::store_lookup;
 use crate::exec::{cell_params, run_cell_cancelable, CellResult};
-use crate::grid::{cell_seed, expand, Cell};
+use crate::grid::{canonical_graph, cell_seed, expand, Cell};
 use crate::spec::{Algo, CampaignSpec};
 use fx_graph::par::CancelToken;
-use fx_trace::{Counter, Target};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -52,14 +49,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-static TRACE_REQUESTS: Counter = Counter::new(Target::Serve, "requests");
-static TRACE_HITS: Counter = Counter::new(Target::Serve, "hits");
-static TRACE_MISSES: Counter = Counter::new(Target::Serve, "misses");
-static TRACE_COALESCED: Counter = Counter::new(Target::Serve, "coalesced");
-static TRACE_COMPUTED: Counter = Counter::new(Target::Serve, "computed");
-static TRACE_REJECTED: Counter = Counter::new(Target::Serve, "rejected");
-static TRACE_BAD_REQUESTS: Counter = Counter::new(Target::Serve, "bad_requests");
 
 /// Maximum bytes of request line + headers the server reads before
 /// answering `431 Request Header Fields Too Large`.
@@ -262,20 +251,8 @@ impl Server {
 pub fn index_cells(spec: &CampaignSpec) -> Result<HashMap<String, Cell>, String> {
     Ok(expand(spec)?
         .into_iter()
-        .map(|cell| (canonical_cell_key(&cell), cell))
+        .map(|cell| (cell.canonical_key(), cell))
         .collect())
-}
-
-/// The canonical (spelling-normalized) identity key of a cell — what
-/// queries are resolved against.
-fn canonical_cell_key(cell: &Cell) -> String {
-    let canonical = fx_core::Scenario::from_spec(&cell.graph)
-        .map(|s| s.to_string())
-        .unwrap_or_else(|_| cell.graph.clone());
-    format!(
-        "{canonical}|{}|{}|r{}",
-        cell.fault, cell.algo, cell.replicate
-    )
 }
 
 fn http_worker(listener: &TcpListener, shared: &Shared) {
@@ -497,13 +474,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             ReadOutcome::Closed => return,
             ReadOutcome::Bad(resp) => {
                 shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                TRACE_BAD_REQUESTS.incr();
                 let _ = resp.write_to(&mut stream);
                 return; // protocol errors poison the connection
             }
             ReadOutcome::Request { path, close } => {
                 shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                TRACE_REQUESTS.incr();
                 let resp = route(&path, shared);
                 if resp.write_to(&mut stream).is_err() {
                     // Early client disconnect mid-response: drop the
@@ -633,20 +608,20 @@ pub fn resolve_cell(
     let fault = crate::spec::FaultSpec::parse(fault).map_err(|e| format!("fault: {e}"))?;
     let algo = Algo::parse(algo)?;
     algo.accepts(&fault, &scenario)?;
-    let canonical = scenario.to_string();
-    let key = format!("{canonical}|{fault}|{algo}|r{replicate}");
-    if let Some(cell) = known.get(&key) {
-        return Ok(cell.clone());
-    }
     let mut cell = Cell {
-        graph: canonical,
+        graph: scenario.to_string(),
         fault,
         algo,
         replicate,
         seed: 0,
         grid: 0,
     };
-    cell.seed = cell_seed(spec.seed, &cell.key());
+    // the graph is canonical, so this is the cell's canonical key
+    let key = cell.key();
+    if let Some(declared) = known.get(&key) {
+        return Ok(declared.clone());
+    }
+    cell.seed = cell_seed(spec.seed, &key);
     Ok(cell)
 }
 
@@ -655,9 +630,6 @@ pub fn resolve_cell(
 /// chaos-degraded answers for the same cell are byte-identical.
 pub fn cell_body(cell: &Cell, result: &CellResult) -> String {
     use fx_json::Json;
-    let canonical = fx_core::Scenario::from_spec(&cell.graph)
-        .map(|s| s.to_string())
-        .unwrap_or_else(|_| cell.graph.clone());
     let metrics = Json::Arr(
         result
             .metrics
@@ -666,7 +638,10 @@ pub fn cell_body(cell: &Cell, result: &CellResult) -> String {
             .collect(),
     );
     let body = Json::Obj(vec![
-        ("scenario".to_string(), Json::Str(canonical)),
+        (
+            "scenario".to_string(),
+            Json::Str(canonical_graph(&cell.graph)),
+        ),
         ("fault".to_string(), Json::Str(cell.fault.to_string())),
         ("algo".to_string(), Json::Str(cell.algo.to_string())),
         ("replicate".to_string(), Json::UInt(cell.replicate as u64)),
@@ -686,14 +661,12 @@ fn cell_response(query: &str, shared: &Shared) -> Response {
     if let Some(store) = &shared.store {
         if let Some(result) = store_lookup(store, &cell, key) {
             shared.stats.hits.fetch_add(1, Ordering::Relaxed);
-            TRACE_HITS.incr();
             let mut resp = Response::new(200, "OK", cell_body(&cell, &result));
             resp.extra_headers.push("X-Cache: hit".to_string());
             return resp;
         }
     }
     shared.stats.misses.fetch_add(1, Ordering::Relaxed);
-    TRACE_MISSES.incr();
     // Cold path: single-flight schedule, then wait.
     let job = {
         let mut queue = shared.queue.lock().unwrap();
@@ -701,13 +674,11 @@ fn cell_response(query: &str, shared: &Shared) -> Response {
             // Coalesce onto the in-flight computation (waiting or
             // already computing): no queue slot needed.
             shared.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-            TRACE_COALESCED.incr();
             job
         } else {
             if queue.waiting.len() >= shared.opts.queue_cap {
                 drop(queue);
                 shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                TRACE_REJECTED.incr();
                 let mut resp = Response::error(
                     429,
                     "Too Many Requests",
@@ -783,7 +754,6 @@ fn compute_worker(shared: &Shared) {
         shared.stats.inflight.fetch_add(1, Ordering::Relaxed);
         let result = compute_cell(&shared.spec, &job.cell, &shared.cancel);
         shared.stats.computed.fetch_add(1, Ordering::Relaxed);
-        TRACE_COMPUTED.incr();
         // Publish *before* signaling waiters: a waiter that timed out
         // and retries must find the store already warm.
         if let (Some(store), Ok(r)) = (&shared.store, &result) {

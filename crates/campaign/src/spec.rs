@@ -65,29 +65,107 @@ pub enum Algo {
     SubgraphCount,
 }
 
+/// The fault models an algorithm runs under. A rejecting rule carries
+/// the reason its rejection message starts with.
+enum FaultRule {
+    /// Every model.
+    Any,
+    /// Only `none`: the algorithm measures the fault-free graph.
+    FaultFree(&'static str),
+    /// Every model but `none`: the message for `none`.
+    Faulty(&'static str),
+    /// Only i.i.d. random models (`random:p`).
+    Iid(&'static str),
+    /// Dilution: `none`, the randomized dilution models (γ under the
+    /// draw) and fractional targeted removal (one ordered sweep gives
+    /// the deterministic curve), never a budgeted adversary.
+    Dilution(&'static str),
+}
+
+/// One row of [`ALGORITHMS`].
+struct AlgoRow {
+    algo: Algo,
+    /// The spec name (`Algo::parse` ↔ `Display`).
+    name: &'static str,
+    /// The result-affecting `[params]` keys the algorithm's cells read:
+    /// exactly what their store key folds in.
+    reads: &'static [&'static str],
+    faults: FaultRule,
+}
+
+impl AlgoRow {
+    const fn new(algo: Algo, name: &'static str, reads: &'static [&'static str]) -> AlgoRow {
+        AlgoRow {
+            algo,
+            name,
+            reads,
+            faults: FaultRule::Any,
+        }
+    }
+
+    const fn faults(self, faults: FaultRule) -> AlgoRow {
+        AlgoRow { faults, ..self }
+    }
+}
+
+/// The algorithm registry: one row per [`Algo`], in declaration order.
+static ALGORITHMS: [AlgoRow; 13] = {
+    use {Algo::*, FaultRule::*};
+    [
+        AlgoRow::new(Prune, "prune", &["k"]),
+        AlgoRow::new(Prune2, "prune2", &["epsilon", "sigma", "trials"])
+            .faults(Iid("prune2 implements the random-fault theorem (3.4)")),
+        AlgoRow::new(
+            Percolation,
+            "percolation",
+            &["trials", "gamma", "grid", "mode"],
+        )
+        .faults(Dilution("percolation measures dilution")),
+        AlgoRow::new(Span, "span", &["samples"])
+            .faults(FaultFree("span is a property of the fault-free graph")),
+        AlgoRow::new(ExpansionCert, "expansion-cert", &[]),
+        AlgoRow::new(Shatter, "shatter", &[]).faults(Faulty(
+            "shatter measures post-fault fragmentation; add a fault model \
+             (e.g. chain-centers on a subdivided scenario)",
+        )),
+        AlgoRow::new(Dissect, "dissect", &["epsilon"]).faults(FaultFree(
+            "dissect (Theorem 2.5) removes its own separator nodes",
+        )),
+        AlgoRow::new(Diameter, "diameter", &["k"]),
+        AlgoRow::new(CompactAudit, "compact-audit", &["samples"]).faults(FaultFree(
+            "compact-audit (Lemma 3.3) samples the fault-free graph",
+        )),
+        AlgoRow::new(Routing, "routing", &["k"]),
+        AlgoRow::new(LoadBalance, "load-balance", &["k"]),
+        AlgoRow::new(Embed, "embed", &["k"]).faults(Faulty(
+            "embed measures the faulty self-embedding; the fault-free embedding is the \
+             identity — add a fault model",
+        )),
+        AlgoRow::new(SubgraphCount, "subgraph-count", &[]).faults(FaultFree(
+            "subgraph-count (Claim 3.2) counts subgraphs of the fault-free graph",
+        )),
+    ]
+};
+
 impl Algo {
+    fn row(self) -> &'static AlgoRow {
+        &ALGORITHMS[self as usize]
+    }
+
     /// Parses an algorithm name.
     pub fn parse(name: &str) -> Result<Algo, String> {
-        match name {
-            "prune" => Ok(Algo::Prune),
-            "prune2" => Ok(Algo::Prune2),
-            "percolation" => Ok(Algo::Percolation),
-            "span" => Ok(Algo::Span),
-            "expansion-cert" => Ok(Algo::ExpansionCert),
-            "shatter" => Ok(Algo::Shatter),
-            "dissect" => Ok(Algo::Dissect),
-            "diameter" => Ok(Algo::Diameter),
-            "compact-audit" => Ok(Algo::CompactAudit),
-            "routing" => Ok(Algo::Routing),
-            "load-balance" => Ok(Algo::LoadBalance),
-            "embed" => Ok(Algo::Embed),
-            "subgraph-count" => Ok(Algo::SubgraphCount),
-            other => Err(format!(
-                "unknown algorithm {other:?} (try prune | prune2 | percolation | span | \
-                 expansion-cert | shatter | dissect | diameter | compact-audit | routing | \
-                 load-balance | embed | subgraph-count)"
-            )),
-        }
+        let row = ALGORITHMS.iter().find(|row| row.name == name);
+        row.map(|row| row.algo).ok_or_else(|| {
+            let names: Vec<&str> = ALGORITHMS.iter().map(|row| row.name).collect();
+            format!("unknown algorithm {name:?} (try {})", names.join(" | "))
+        })
+    }
+
+    /// The result-affecting `[params]` keys this algorithm's cells
+    /// read (cells of an overlay with `churn > 0` read `churn_curves`
+    /// too, whatever their algorithm).
+    pub(crate) fn reads(self) -> &'static [&'static str] {
+        self.row().reads
     }
 
     /// Whether this algorithm can run under the given fault model on
@@ -103,87 +181,28 @@ impl Algo {
                  scenario `{scenario}` has no chains — use subdivided:n,d,k"
             ));
         }
-        match (self, fault) {
-            (Algo::Prune2, f) if f.is_iid() => Ok(()),
-            (Algo::Prune2, other) => Err(format!(
-                "prune2 implements the random-fault theorem (3.4); fault model `{other}` is not \
-                 i.i.d. random — use `random:p`"
-            )),
-            // percolation measures dilution curves: randomized
-            // dilution models (γ under the draw) and fractional
-            // targeted removal (the deterministic dilution curve from
-            // one ordered sweep) — but not budgeted adversaries
-            (Algo::Percolation, f)
-                if f.is_none()
-                    || f.is_random_dilution()
-                    || matches!(f, FaultSpec::Targeted { .. }) =>
-            {
-                Ok(())
+        let dilution = fault.is_random_dilution()
+            || matches!(fault, FaultSpec::None | FaultSpec::Targeted { .. });
+        match self.row().faults {
+            FaultRule::FaultFree(why) if !fault.is_none() => {
+                Err(format!("{why}; drop fault model `{fault}`"))
             }
-            (Algo::Percolation, other) => Err(format!(
-                "percolation measures dilution; fault model `{other}` is a budgeted adversary — \
-                 use none, random:p, heavy-tailed:p,alpha, clustered:f,r, or targeted:frac"
+            FaultRule::Faulty(why) if fault.is_none() => Err(why.to_string()),
+            FaultRule::Iid(why) if !fault.is_iid() => Err(format!(
+                "{why}; fault model `{fault}` is not i.i.d. random — use `random:p`"
             )),
-            (Algo::Span, FaultSpec::None) => Ok(()),
-            (Algo::Span, other) => Err(format!(
-                "span is a property of the fault-free graph; drop fault model `{other}`"
+            FaultRule::Dilution(why) if !dilution => Err(format!(
+                "{why}; fault model `{fault}` is a budgeted adversary — use none, random:p, \
+                 heavy-tailed:p,alpha, clustered:f,r, or targeted:frac"
             )),
-            (Algo::Dissect, FaultSpec::None) => Ok(()),
-            (Algo::Dissect, other) => Err(format!(
-                "dissect (Theorem 2.5) removes its own separator nodes; drop fault model `{other}`"
-            )),
-            (Algo::SubgraphCount, FaultSpec::None) => Ok(()),
-            (Algo::SubgraphCount, other) => Err(format!(
-                "subgraph-count (Claim 3.2) counts subgraphs of the fault-free graph; drop fault \
-                 model `{other}`"
-            )),
-            (Algo::CompactAudit, FaultSpec::None) => Ok(()),
-            (Algo::CompactAudit, other) => Err(format!(
-                "compact-audit (Lemma 3.3) samples the fault-free graph; drop fault model \
-                 `{other}`"
-            )),
-            (Algo::Shatter, FaultSpec::None) => Err(
-                "shatter measures post-fault fragmentation; add a fault model \
-                 (e.g. chain-centers on a subdivided scenario)"
-                    .into(),
-            ),
-            (Algo::Embed, FaultSpec::None) => Err(
-                "embed measures the faulty self-embedding; the fault-free embedding is the \
-                 identity — add a fault model"
-                    .into(),
-            ),
-            (
-                Algo::Prune
-                | Algo::ExpansionCert
-                | Algo::Shatter
-                | Algo::Diameter
-                | Algo::Routing
-                | Algo::LoadBalance
-                | Algo::Embed,
-                _,
-            ) => Ok(()),
+            _ => Ok(()),
         }
     }
 }
 
 impl fmt::Display for Algo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Algo::Prune => "prune",
-            Algo::Prune2 => "prune2",
-            Algo::Percolation => "percolation",
-            Algo::Span => "span",
-            Algo::ExpansionCert => "expansion-cert",
-            Algo::Shatter => "shatter",
-            Algo::Dissect => "dissect",
-            Algo::Diameter => "diameter",
-            Algo::CompactAudit => "compact-audit",
-            Algo::Routing => "routing",
-            Algo::LoadBalance => "load-balance",
-            Algo::Embed => "embed",
-            Algo::SubgraphCount => "subgraph-count",
-        };
-        f.write_str(s)
+        f.write_str(self.row().name)
     }
 }
 
@@ -304,7 +323,10 @@ impl Params {
 /// `[grid-…]` table may set `epsilon`, `samples`, or `timeout_ms` for
 /// its own cells (e.g. a generous timeout on one pathological
 /// sub-grid, a higher sample count on the sampled-span grid) without
-/// touching the rest of the campaign.
+/// touching the rest of the campaign. An `epsilon` or `samples`
+/// override must be read by one of the grid's algorithms (the
+/// algorithm registry declares what each reads); `timeout_ms` may be
+/// set on any grid.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GridOverrides {
     /// Overrides `params.epsilon` for this grid's cells.
@@ -695,6 +717,17 @@ fn parse_grid<'a>(
         .iter()
         .map(|s| Algo::parse(s))
         .collect::<Result<_, _>>()?;
+    // an override no cell of the grid reads would change nothing
+    for (set, key) in [
+        (overrides.epsilon.is_some(), "epsilon"),
+        (overrides.samples.is_some(), "samples"),
+    ] {
+        if set && !algorithms.iter().any(|a| a.reads().contains(&key)) {
+            return Err(format!(
+                "[{label}] {key} is read by none of this grid's algorithms"
+            ));
+        }
+    }
 
     // the whole grid must be well-formed before anything runs
     for scenario in &scenarios {
@@ -1012,6 +1045,113 @@ algorithms = ["span"]
             "name = \"d\"\ngraphs = [\"cycle:10\"]\nalgorithms = [\"span\"]\n[zebra]\na = 1"
         )
         .is_err());
+        // an override that no algorithm of its grid reads
+        for (algo, key) in [
+            ("expansion-cert", "samples = 7"),
+            ("prune", "epsilon = 0.3"),
+        ] {
+            let err = CampaignSpec::parse(&format!(
+                "name = \"d\"\n[grid-a]\ngraphs = [\"cycle:10\"]\nalgorithms = [\"{algo}\"]\n{key}"
+            ))
+            .unwrap_err();
+            let key = &key[..key.find(' ').unwrap()];
+            assert_eq!(
+                err,
+                format!("[grid-a] {key} is read by none of this grid's algorithms")
+            );
+        }
+    }
+
+    /// Names round-trip through the registry, and an unknown name
+    /// lists every known one.
+    #[test]
+    fn algorithm_names_round_trip_and_unknown_names_list_them() {
+        for (i, row) in ALGORITHMS.iter().enumerate() {
+            assert_eq!(
+                row.algo as usize, i,
+                "{}: rows follow declaration order",
+                row.name
+            );
+            assert_eq!(Algo::parse(row.name), Ok(row.algo));
+            assert_eq!(row.algo.to_string(), row.name);
+        }
+        assert_eq!(
+            Algo::parse("pruned").unwrap_err(),
+            "unknown algorithm \"pruned\" (try prune | prune2 | percolation | span | \
+             expansion-cert | shatter | dissect | diameter | compact-audit | routing | \
+             load-balance | embed | subgraph-count)"
+        );
+    }
+
+    /// Every fault-rule rejection, word for word.
+    #[test]
+    fn fault_rule_messages_are_pinned() {
+        let torus = Scenario::Plain(Family::Torus { dims: vec![6, 6] });
+        let reject = |algo: &str, fault: &str| {
+            let fault = FaultSpec::parse(fault).unwrap();
+            Algo::parse(algo)
+                .unwrap()
+                .accepts(&fault, &torus)
+                .unwrap_err()
+        };
+        for (algo, fault, message) in [
+            (
+                "prune2",
+                "random-exact:3",
+                "prune2 implements the random-fault theorem (3.4); fault model `random-exact:3` \
+                 is not i.i.d. random — use `random:p`",
+            ),
+            (
+                "percolation",
+                "adversarial:3",
+                "percolation measures dilution; fault model `adversarial:3` is a budgeted \
+                 adversary — use none, random:p, heavy-tailed:p,alpha, clustered:f,r, or \
+                 targeted:frac",
+            ),
+            (
+                "span",
+                "random:0.1",
+                "span is a property of the fault-free graph; drop fault model `random:0.1`",
+            ),
+            (
+                "dissect",
+                "random:0.1",
+                "dissect (Theorem 2.5) removes its own separator nodes; drop fault model \
+                 `random:0.1`",
+            ),
+            (
+                "subgraph-count",
+                "random:0.1",
+                "subgraph-count (Claim 3.2) counts subgraphs of the fault-free graph; drop fault \
+                 model `random:0.1`",
+            ),
+            (
+                "compact-audit",
+                "random:0.1",
+                "compact-audit (Lemma 3.3) samples the fault-free graph; drop fault model \
+                 `random:0.1`",
+            ),
+            (
+                "shatter",
+                "none",
+                "shatter measures post-fault fragmentation; add a fault model (e.g. \
+                 chain-centers on a subdivided scenario)",
+            ),
+            (
+                "embed",
+                "none",
+                "embed measures the faulty self-embedding; the fault-free embedding is the \
+                 identity — add a fault model",
+            ),
+            (
+                "prune",
+                "chain-centers",
+                "chain-centers is the Theorem 2.3 adversary for subdivided expanders; scenario \
+                 `torus:6,6` has no chains — use subdivided:n,d,k",
+            ),
+        ] {
+            assert_eq!(reject(algo, fault), message, "{algo} × {fault}");
+        }
     }
 
     #[test]
@@ -1197,7 +1337,7 @@ graphs = ["torus:6,6"]
 algorithms = ["span"]
 [grid-tuned]
 graphs = ["mesh:3,4"]
-algorithms = ["span"]
+algorithms = ["span", "dissect"]
 samples = 32
 timeout_ms = 1500
 epsilon = 0.25

@@ -49,8 +49,8 @@ commands:
   campaign   run|resume --spec FILE [--threads N] [--limit N] [--out DIR]
                         [--shard I/M] [--quiet] [--timing] [--strict] [--health]
              report     --spec FILE [--out DIR] [--timing] [--health]
-             check      --spec FILE             parse + validate + expand + cost
-                                                estimate, run nothing
+             check      --spec FILE             parse + validate + expand, run
+                                                nothing
              merge      --out FILE [--require-complete] JOURNAL...
                                                 declarative scenario campaigns
                                                 (journaled, resumable, parallel;
@@ -103,8 +103,8 @@ curves:     [params] churn_curves = dyncon|oracle  survival-curve engine for
             solve of the recorded trace; oracle: per-snapshot re-sweeps, same
             bits, O(ops·(V+E)))
 tracing:    FXNET_TRACE=target[=level],...  structured telemetry (targets: par,
-            campaign, cell, overlay, percolation, faults, chaos, dyncon, serve,
-            store, span; `all`;
+            campaign, cell, overlay, percolation, faults, chaos, dyncon, store,
+            span; `all`;
             level 2 adds hot-path histograms). Traced campaign runs write
             trace.jsonl + trace.chrome.json next to the journal.
 
@@ -235,53 +235,16 @@ fn run_campaign(args: &Args) -> Result<(), String> {
             cells.len(),
             spec.replicates
         );
-        // rough cost estimate: cells × effective per-cell samples
-        // (the grid's override, else the campaign default), so users
-        // can size --shard / --threads before paying for a run
-        let mut total_work: u64 = 0;
         for (gi, grid) in spec.grids.iter().enumerate() {
-            let eff = spec.params.with_overrides(&grid.overrides);
-            let grid_cells = cells.iter().filter(|c| c.grid == gi).count();
-            let work = grid_cells as u64 * eff.samples as u64;
-            total_work += work;
             outln!(
-                "  [{}] {} scenario(s) × {} fault(s) × {} algorithm(s) — {} cells × {} samples ≈ {} work units",
+                "  [{}] {} scenario(s) × {} fault(s) × {} algorithm(s) — {} cells",
                 grid.label,
                 grid.graphs.len(),
                 grid.faults.len(),
                 grid.algorithms.len(),
-                grid_cells,
-                eff.samples,
-                work
+                cells.iter().filter(|c| c.grid == gi).count()
             );
-            // churn cells additionally record a zone-adjacency event
-            // trace and pay one offline survival-curve pass over it:
-            // a join/depart touches the new/departing owner plus its
-            // ≈ 2·dim zone neighbors twice (off + retarget), so
-            // ≈ 4·dim + 2 events per op
-            for graph in &grid.graphs {
-                if let Ok(fx_core::Scenario::Overlay { dim, churn, .. }) =
-                    fx_core::Scenario::from_spec(graph)
-                {
-                    if churn > 0 {
-                        let per_op = 4 * dim as u64 + 2;
-                        outln!(
-                            "      churn trace: {graph} ≈ {} events per cell \
-                             ({churn} ops × ≈{per_op} events/op) for the \
-                             survival-curve engine (churn_curves = \"{}\")",
-                            churn as u64 * per_op,
-                            eff.churn_curves
-                        );
-                    }
-                }
-            }
         }
-        outln!(
-            "cost estimate: {} cells, ≈ {} work units (cells × samples; \
-             split across shards with --shard I/M)",
-            cells.len(),
-            total_work
-        );
         return Ok(());
     }
     let opts = RunOptions {

@@ -15,9 +15,10 @@
 //!
 //! The matrix sweep at the bottom runs the no-false-splitting check
 //! exhaustively over every algorithm × a representative compatible
-//! fault for each row of `Algo::accepts`.
+//! fault for each row of `Algo::accepts`, and checks that each cell's
+//! key folds exactly the `[params]` keys its algorithm reads.
 
-use fx_campaign::{expand, store_identity, store_key, CampaignSpec, Cell, RESULTS_EPOCH};
+use fx_campaign::{expand, run_cell, store_identity, store_key, CampaignSpec, Cell, RESULTS_EPOCH};
 use std::collections::HashMap;
 
 fn spec(text: &str) -> CampaignSpec {
@@ -57,27 +58,43 @@ fn epsilon_difference_splits_keys() {
     assert_eq!(a.key(), b.key());
     assert_ne!(store_key(&a_spec, &a), store_key(&b_spec, &b));
     // ... and the default spells as `auto`, not as some number.
-    assert!(store_identity(&a_spec, &a).contains("|eps=auto|"));
-    assert!(store_identity(&b_spec, &b).contains("|eps=0.2|"));
+    assert!(store_identity(&a_spec, &a).contains("|epsilon=auto|"));
+    assert!(store_identity(&b_spec, &b).contains("|epsilon=0.2|"));
 }
 
 #[test]
 fn each_result_affecting_param_splits_keys() {
-    let base = single("torus:5,5", "none", "percolation", "");
-    for params in [
-        "[params]\nk = 3.0\n",
-        "[params]\nsigma = 2.5\n",
-        "[params]\ntrials = 7\n",
-        "[params]\nsamples = 99\n",
-        "[params]\ngamma = 0.25\n",
-        "[params]\ngrid = 77\n",
-        "[params]\nmode = \"bond\"\n",
+    // each param on a cell whose algorithm reads it
+    for (graph, fault, algo, params) in [
+        ("torus:5,5", "none", "prune", "[params]\nk = 3.0\n"),
+        (
+            "torus:5,5",
+            "random:0.1",
+            "prune2",
+            "[params]\nsigma = 2.5\n",
+        ),
+        ("torus:5,5", "none", "percolation", "[params]\ntrials = 7\n"),
+        ("cycle:12", "none", "span", "[params]\nsamples = 99\n"),
+        (
+            "torus:5,5",
+            "none",
+            "percolation",
+            "[params]\ngamma = 0.25\n",
+        ),
+        ("torus:5,5", "none", "percolation", "[params]\ngrid = 77\n"),
+        (
+            "torus:5,5",
+            "none",
+            "percolation",
+            "[params]\nmode = \"bond\"\n",
+        ),
     ] {
-        let varied = single("torus:5,5", "none", "percolation", params);
+        let base = single(graph, fault, algo, "");
+        let varied = single(graph, fault, algo, params);
         assert_ne!(
             store_key(&base.0, &base.1),
             store_key(&varied.0, &varied.1),
-            "param block {params:?} must change the key"
+            "param block {params:?} must change the {algo} key"
         );
     }
     // churn_curves is part of the identity of overlay churn cells.
@@ -98,11 +115,11 @@ fn each_result_affecting_param_splits_keys() {
 fn grid_override_splits_keys_only_when_effective_params_change() {
     // The same spelled cell in a grid whose override changes samples:
     // different effective params → different key.
-    let root = single("cycle:16", "none", "expansion-cert", "");
+    let root = single("cycle:16", "none", "span", "");
     let overridden = spec(
         "name = \"keys-grid\"\nreplicates = 1\nseed = 1\n\
          [grid-a]\ngraphs = [\"cycle:16\"]\nfaults = [\"none\"]\n\
-         algorithms = [\"expansion-cert\"]\nsamples = 50\n",
+         algorithms = [\"span\"]\nsamples = 50\n",
     );
     let o_cell = only_cell(&overridden);
     assert_ne!(store_key(&root.0, &root.1), store_key(&overridden, &o_cell));
@@ -112,7 +129,7 @@ fn grid_override_splits_keys_only_when_effective_params_change() {
     let plain_grid = spec(
         "name = \"keys-grid-plain\"\nreplicates = 1\nseed = 1\n\
          [grid-a]\ngraphs = [\"cycle:16\"]\nfaults = [\"none\"]\n\
-         algorithms = [\"expansion-cert\"]\n",
+         algorithms = [\"span\"]\n",
     );
     let p_cell = only_cell(&plain_grid);
     assert_eq!(store_key(&root.0, &root.1), store_key(&plain_grid, &p_cell));
@@ -188,6 +205,7 @@ const ACCEPTS_MATRIX: &[(&str, &str, &str)] = &[
     ("routing", "adversarial:2", "torus:5,5"),
     ("load-balance", "random:0.1", "torus:5,5"),
     ("embed", "random:0.1", "torus:5,5"),
+    ("subgraph-count", "none", "cycle:12"),
 ];
 
 #[test]
@@ -262,12 +280,97 @@ fn results_epoch_is_pinned_to_the_golden_digests() {
 #[test]
 fn identity_is_versioned_and_readable() {
     let (s, cell) = single("torus:5,5", "none", "expansion-cert", "");
-    let identity = store_identity(&s, &cell);
-    assert!(
-        identity.starts_with(&format!("fx-store/{RESULTS_EPOCH}|")),
-        "keying scheme must be versioned: {identity}"
+    assert_eq!(
+        store_identity(&s, &cell),
+        format!(
+            "fx-store/{RESULTS_EPOCH}|torus:5,5|none|expansion-cert|r0|seed={:016x}",
+            cell.seed
+        ),
+        "an algorithm that reads no param keys on the cell alone"
     );
-    for field in ["|seed=", "|k=", "|eps=", "|trials=", "|mode=", "|curves="] {
-        assert!(identity.contains(field), "{field} missing from {identity}");
+    let (s, cell) = single("torus:5,5", "none", "percolation", "");
+    assert!(
+        store_identity(&s, &cell).ends_with("|trials=1|gamma=0.1|grid=50|mode=site"),
+        "{}",
+        store_identity(&s, &cell)
+    );
+}
+
+/// The `[params]` keys each algorithm reads.
+fn declared_reads(algo: &str) -> &'static [&'static str] {
+    match algo {
+        "prune" | "diameter" | "routing" | "load-balance" | "embed" => &["k"],
+        "prune2" => &["epsilon", "sigma", "trials"],
+        "percolation" => &["trials", "gamma", "grid", "mode"],
+        "span" | "compact-audit" => &["samples"],
+        "dissect" => &["epsilon"],
+        "expansion-cert" | "shatter" | "subgraph-count" => &[],
+        other => panic!("no declared reads for {other}"),
+    }
+}
+
+/// Each result-affecting param, set to a value other than its default.
+const CHANGED: &[(&str, &str)] = &[
+    ("k", "3.0"),
+    ("epsilon", "0.2"),
+    ("sigma", "2.5"),
+    ("trials", "7"),
+    ("samples", "9"),
+    ("gamma", "0.25"),
+    ("grid", "7"),
+    ("mode", "\"bond\""),
+    ("churn_curves", "\"oracle\""),
+];
+
+/// A cell's store key folds exactly the params its algorithm reads
+/// (plus `churn_curves` on a churned overlay): changing one of them
+/// re-keys the cell, and changing the others leaves the key and every
+/// metric bit of `run_cell` unchanged, so the store may serve it.
+#[test]
+fn store_keys_fold_exactly_the_params_each_algorithm_reads() {
+    let bits = |(s, c): &(CampaignSpec, Cell)| -> Vec<(String, u64)> {
+        let metrics = run_cell(s, c).metrics;
+        metrics.into_iter().map(|(m, x)| (m, x.to_bits())).collect()
+    };
+    let churned = ("expansion-cert", "none", "overlay:2,24,churn=20");
+    for &(algo, fault, graph) in ACCEPTS_MATRIX.iter().chain([&churned]) {
+        let mut reads = declared_reads(algo).to_vec();
+        if graph.contains("churn=") {
+            reads.push("churn_curves");
+        }
+        let base = single(graph, fault, algo, "");
+        let base_key = store_key(&base.0, &base.1);
+        let mut ignored = String::from("[params]\n");
+        for &(param, value) in CHANGED {
+            let (s, cell) = single(
+                graph,
+                fault,
+                algo,
+                &format!("[params]\n{param} = {value}\n"),
+            );
+            if reads.contains(&param) {
+                assert_ne!(
+                    store_key(&s, &cell),
+                    base_key,
+                    "{algo} × {fault} on {graph} reads {param}"
+                );
+            } else {
+                assert_eq!(
+                    store_key(&s, &cell),
+                    base_key,
+                    "{algo} × {fault} on {graph} ignores {param}"
+                );
+                ignored.push_str(&format!("{param} = {value}\n"));
+            }
+        }
+        // one run with every ignored param changed at once (a cell runs
+        // for up to a second in a debug build)
+        let changed = single(graph, fault, algo, &ignored);
+        assert_eq!(store_key(&changed.0, &changed.1), base_key);
+        assert_eq!(
+            bits(&changed),
+            bits(&base),
+            "{algo} × {fault} on {graph}: an ignored param moved a metric ({ignored:?})"
+        );
     }
 }

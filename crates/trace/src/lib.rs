@@ -53,16 +53,14 @@ pub enum Target {
     Chaos = 6,
     /// Offline dynamic connectivity (`fx_graph::dyncon` solves).
     Dyncon = 7,
-    /// The `fxnet serve` HTTP daemon (requests, queue, single-flight).
-    Serve = 8,
     /// The content-addressed cell-result store (`fx-store`).
-    Store = 9,
+    Store = 8,
     /// Span estimation (`fx-span`): how each compact set was decided.
-    Span = 10,
+    Span = 9,
 }
 
 /// Number of distinct [`Target`]s.
-pub const NUM_TARGETS: usize = 11;
+pub const NUM_TARGETS: usize = 10;
 
 impl Target {
     /// All targets, in discriminant order.
@@ -75,7 +73,6 @@ impl Target {
         Target::Faults,
         Target::Chaos,
         Target::Dyncon,
-        Target::Serve,
         Target::Store,
         Target::Span,
     ];
@@ -91,7 +88,6 @@ impl Target {
             Target::Faults => "faults",
             Target::Chaos => "chaos",
             Target::Dyncon => "dyncon",
-            Target::Serve => "serve",
             Target::Store => "store",
             Target::Span => "span",
         }

@@ -243,7 +243,7 @@ algorithms = ["shatter", "percolation"]
 graphs = ["torus:8,8"]
 fault-sweep = ["targeted:0.1..0.3/3"]
 algorithms = ["shatter"]
-samples = 16
+timeout_ms = 60000
 [grid-overlay]
 graphs = ["overlay:2,32,churn=40,sessions=pareto:1.5,depart=degree"]
 faults = ["heavy-tailed:0.1,2.0"]
